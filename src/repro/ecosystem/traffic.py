@@ -252,6 +252,7 @@ def measured_flowset_for(
     from repro.netflow.aggregation import aggregate_to_flowset
     from repro.netflow.codec import decode_packets, encode_packets
     from repro.netflow.collector import FlowCollector
+    from repro.netflow.records import RecordBatch
 
     model = eco._traffic_model()
     eco.as_by_asn(asn)  # fail fast on unknown ASNs
@@ -259,9 +260,11 @@ def measured_flowset_for(
         records = eco.netflow_records_for(asn)
         if through_wire:
             engines = eco.engine_map()
-            records = decode_packets(encode_packets(records, engines), engines)
+            batch = decode_packets(encode_packets(records, engines), engines)
+        else:
+            batch = RecordBatch.from_records(records)
         collector = FlowCollector()
-        collector.ingest_many(records)
+        collector.ingest_batch(batch)
 
         def distance_fn(key) -> float:
             return model.distance_between(

@@ -1,5 +1,5 @@
-"""NetFlow substrate: export records, sampling, collection, aggregation,
-and the binary v5 wire codec."""
+"""NetFlow substrate: export records and record batches, sampling,
+collection, aggregation, and the binary v5 wire codec."""
 
 from repro.netflow.aggregation import aggregate_to_flowset
 from repro.netflow.codec import (
@@ -17,6 +17,7 @@ from repro.netflow.records import (
     NetFlowRecord,
     PROTO_TCP,
     PROTO_UDP,
+    RecordBatch,
 )
 from repro.netflow.sampling import PacketSampler, SampledCounters
 from repro.netflow.v9 import V9Decoder, V9Encoder
@@ -31,6 +32,7 @@ __all__ = [
     "PROTO_TCP",
     "PROTO_UDP",
     "PacketSampler",
+    "RecordBatch",
     "SampledCounters",
     "V9Decoder",
     "V9Encoder",

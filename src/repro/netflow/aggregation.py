@@ -2,7 +2,9 @@
 
 The demand model consumes per-destination *rates*; this module converts a
 collector's byte volumes over a capture window into Mbps demands and
-attaches the per-network distance heuristic supplied by the caller.
+attaches the per-network distance heuristic supplied by the caller.  The
+volumes and rates stay numpy columns; only the distinct flow keys handed
+to the caller's heuristics become objects.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.flow import NO_LABEL, FlowSet, encode_regions
+from repro.core.flow import FlowSet, encode_regions
 from repro.errors import DataError
 from repro.netflow.collector import FlowCollector
 from repro.netflow.records import FlowKey
@@ -47,40 +49,34 @@ def aggregate_to_flowset(
     """
     if window_seconds <= 0:
         raise DataError(f"window_seconds must be positive, got {window_seconds}")
-    volumes = collector.deduplicated_octets()
-    if not volumes:
+    keys, volumes = collector.deduplicated()
+    if not len(keys):
         raise DataError("collector holds no records")
+    mbps = np.asarray(volumes * 8.0 / window_seconds / 1e6, dtype=float)
+    kept = np.flatnonzero(~(mbps <= min_demand_mbps))
+    if not kept.size:
+        raise DataError(
+            "no flows above the demand threshold "
+            f"({min_demand_mbps} Mbps) in a {window_seconds:.0f}s window"
+        )
 
-    # One pass over the deduplicated keys (the distance/region callbacks
-    # force per-key Python), interning endpoint labels on the way so the
-    # result assembles straight into code columns — no Flow objects, no
-    # label tuples, and the numeric columns are validated exactly once by
-    # the columnar constructor.
-    demands = []
+    # Flow keys exist only for the kept distinct keys: the distance and
+    # region callbacks take them.  Endpoint labels are interned on the
+    # way, so the result assembles straight into code columns.
     distances = []
     regions = []
     src_codes = []
     dst_codes = []
     src_index: "dict[str, int]" = {}
     dst_index: "dict[str, int]" = {}
-    for key in sorted(volumes, key=_key_sort):
-        octets = volumes[key]
-        mbps = octets * 8.0 / window_seconds / 1e6
-        if mbps <= min_demand_mbps:
-            continue
-        demands.append(mbps)
+    for key in keys.take(kept).flow_keys():
         distances.append(float(distance_fn(key)))
         regions.append(region_fn(key) if region_fn is not None else None)
         src_codes.append(_intern(key.src_addr, src_index))
         dst_codes.append(_intern(key.dst_addr, dst_index))
-    if not demands:
-        raise DataError(
-            "no flows above the demand threshold "
-            f"({min_demand_mbps} Mbps) in a {window_seconds:.0f}s window"
-        )
-    n = len(demands)
+    n = len(kept)
     return FlowSet.from_columns(
-        np.asarray(demands, dtype=float),
+        mbps[kept],
         np.asarray(distances, dtype=float),
         region_codes=encode_regions(regions, n),
         src_codes=np.asarray(src_codes, dtype=np.int32),
@@ -90,15 +86,9 @@ def aggregate_to_flowset(
     )
 
 
-def _intern(label: Optional[str], index: "dict[str, int]") -> int:
-    if label is None:
-        return NO_LABEL
+def _intern(label: str, index: "dict[str, int]") -> int:
     code = index.get(label)
     if code is None:
         code = len(index)
         index[label] = code
     return code
-
-
-def _key_sort(key: FlowKey) -> tuple:
-    return (key.src_addr, key.dst_addr, key.src_port, key.dst_port, key.protocol)

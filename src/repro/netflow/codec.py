@@ -1,10 +1,11 @@
 """Binary NetFlow v5 export encoding/decoding.
 
-The rest of :mod:`repro.netflow` works with parsed
-:class:`~repro.netflow.records.NetFlowRecord` objects; this module speaks
-the actual wire format, so traces can be written to and read from real
-``.nf5`` capture files and the pipeline can ingest exports produced by
-other tools.
+The encoder takes :class:`~repro.netflow.records.NetFlowRecord` objects;
+the decoder reads each packet straight into a
+:class:`~repro.netflow.records.RecordBatch` with one ``np.frombuffer``
+over a big-endian record dtype, so traces can be written to and read from
+real ``.nf5`` capture files and the pipeline can ingest exports produced
+by other tools without building an object per record.
 
 Layout (all fields big-endian, per Cisco's NetFlow v5 specification):
 
@@ -28,12 +29,13 @@ identically for classic single-byte exporters (engine_type 0).
 
 from __future__ import annotations
 
-import ipaddress
 import struct
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from repro.errors import DataError
-from repro.netflow.records import FlowKey, NetFlowRecord
+from repro.netflow.records import NetFlowRecord, RecordBatch, address_value
 
 #: Wire version implemented here.
 VERSION = 5
@@ -42,20 +44,35 @@ MAX_RECORDS_PER_PACKET = 30
 
 _HEADER = struct.Struct(">HHIIIIBBH")
 _RECORD = struct.Struct(">IIIHHIIIIHHBBBBHHBBH")
+#: The same 48-byte record as a numpy dtype, for whole-packet decoding.
+_RECORD_DTYPE = np.dtype(
+    [
+        ("src", ">u4"),
+        ("dst", ">u4"),
+        ("nexthop", ">u4"),
+        ("input_if", ">u2"),
+        ("output_if", ">u2"),
+        ("packets", ">u4"),
+        ("octets", ">u4"),
+        ("first_ms", ">u4"),
+        ("last_ms", ">u4"),
+        ("src_port", ">u2"),
+        ("dst_port", ">u2"),
+        ("pad1", "u1"),
+        ("tcp_flags", "u1"),
+        ("protocol", "u1"),
+        ("tos", "u1"),
+        ("src_as", ">u2"),
+        ("dst_as", ">u2"),
+        ("src_mask", "u1"),
+        ("dst_mask", "u1"),
+        ("pad2", ">u2"),
+    ]
+)
+assert _RECORD_DTYPE.itemsize == _RECORD.size
 
 #: Sampling mode bits for "packet interval sampling".
 _SAMPLING_MODE_PACKET_INTERVAL = 0x1
-
-
-def _ip_to_int(address: str) -> int:
-    try:
-        return int(ipaddress.IPv4Address(address))
-    except (ipaddress.AddressValueError, ValueError) as exc:
-        raise DataError(f"invalid IPv4 address {address!r}") from exc
-
-
-def _int_to_ip(value: int) -> str:
-    return str(ipaddress.IPv4Address(value))
 
 
 #: Engine numbers span engine_type + engine_id, one byte each.
@@ -80,7 +97,9 @@ class EngineMap:
                 f"(max {MAX_ENGINES} routers, got {len(routers)})"
             )
         self._to_id = {router: i for i, router in enumerate(routers)}
-        self._to_router = dict(enumerate(routers))
+        #: Router names by engine number: the router table of every
+        #: batch :func:`decode_packet` returns.
+        self.names = tuple(routers)
 
     def engine_id(self, router: str) -> int:
         try:
@@ -89,14 +108,13 @@ class EngineMap:
             raise DataError(f"unknown router {router!r}") from exc
 
     def router(self, engine_id: int) -> str:
-        try:
-            return self._to_router[engine_id]
-        except KeyError as exc:
-            raise DataError(f"unknown engine id {engine_id}") from exc
+        if not 0 <= engine_id < len(self.names):
+            raise DataError(f"unknown engine id {engine_id}")
+        return self.names[engine_id]
 
     @property
     def routers(self) -> "list[str]":
-        return [self._to_router[i] for i in sorted(self._to_router)]
+        return list(self.names)
 
 
 def encode_packet(
@@ -148,8 +166,8 @@ def encode_packet(
         if record.last_ms >= 1 << 32:
             raise DataError("timestamp exceeds the 32-bit wire field")
         body += _RECORD.pack(
-            _ip_to_int(record.key.src_addr),
-            _ip_to_int(record.key.dst_addr),
+            address_value(record.key.src_addr),
+            address_value(record.key.dst_addr),
             0,  # nexthop
             record.input_if & 0xFFFF,
             record.output_if & 0xFFFF,
@@ -172,8 +190,14 @@ def encode_packet(
     return header + bytes(body)
 
 
-def decode_packet(data: bytes, engines: EngineMap) -> "list[NetFlowRecord]":
-    """Decode one v5 packet back into records."""
+def decode_packet(data: bytes, engines: EngineMap) -> RecordBatch:
+    """Decode one v5 packet into a batch of its records.
+
+    Raises:
+        DataError: On a short packet, a wrong version, a length that does
+            not match the header count, an unknown engine, or a record
+            that ends before it starts or has packets but no octets.
+    """
     if len(data) < _HEADER.size:
         raise DataError(f"packet too short for a v5 header ({len(data)} bytes)")
     (
@@ -198,54 +222,38 @@ def decode_packet(data: bytes, engines: EngineMap) -> "list[NetFlowRecord]":
     interval = sampling & 0x3FFF
     if interval == 0:
         interval = 1
-    router = engines.router((engine_type << 8) | engine_id)
+    engine = (engine_type << 8) | engine_id
+    engines.router(engine)  # an unknown engine raises
 
-    records = []
-    offset = _HEADER.size
-    for _ in range(count):
-        (
-            src,
-            dst,
-            _nexthop,
-            input_if,
-            output_if,
-            packets,
-            octets,
-            first_ms,
-            last_ms,
-            src_port,
-            dst_port,
-            _pad1,
-            _tcp_flags,
-            protocol,
-            _tos,
-            _src_as,
-            _dst_as,
-            _src_mask,
-            _dst_mask,
-            _pad2,
-        ) = _RECORD.unpack_from(data, offset)
-        offset += _RECORD.size
-        records.append(
-            NetFlowRecord(
-                key=FlowKey(
-                    src_addr=_int_to_ip(src),
-                    dst_addr=_int_to_ip(dst),
-                    src_port=src_port,
-                    dst_port=dst_port,
-                    protocol=protocol,
-                ),
-                octets=octets,
-                packets=packets,
-                first_ms=first_ms,
-                last_ms=last_ms,
-                router=router,
-                input_if=input_if,
-                output_if=output_if,
-                sampling_interval=interval,
-            )
+    wire = np.frombuffer(data, _RECORD_DTYPE, count, _HEADER.size)
+    first = wire["first_ms"].astype(np.int64)
+    last = wire["last_ms"].astype(np.int64)
+    octets = wire["octets"].astype(np.int64)
+    packets = wire["packets"].astype(np.int64)
+    backwards = np.flatnonzero(last < first)
+    if backwards.size:
+        row = backwards[0]
+        raise DataError(
+            f"record ends ({last[row]}) before it starts ({first[row]})"
         )
-    return records
+    if ((packets > 0) & (octets == 0)).any():
+        raise DataError("a record with packets must carry octets")
+    return RecordBatch(
+        engines.names,
+        src=wire["src"].astype(np.uint32),
+        dst=wire["dst"].astype(np.uint32),
+        src_port=wire["src_port"].astype(np.uint16),
+        dst_port=wire["dst_port"].astype(np.uint16),
+        protocol=wire["protocol"].copy(),
+        octets=octets,
+        packets=packets,
+        first_ms=first,
+        last_ms=last,
+        router=np.full(count, engine, np.int32),
+        input_if=wire["input_if"].astype(np.int64),
+        output_if=wire["output_if"].astype(np.int64),
+        interval=np.full(count, interval, np.int64),
+    )
 
 
 def encode_packets(
@@ -274,11 +282,8 @@ def encode_packets(
     return packets
 
 
-def decode_packets(
-    packets: Iterable[bytes], engines: EngineMap
-) -> "list[NetFlowRecord]":
-    """Decode a sequence of v5 packets into a flat record list."""
-    records = []
-    for packet in packets:
-        records.extend(decode_packet(packet, engines))
-    return records
+def decode_packets(packets: Iterable[bytes], engines: EngineMap) -> RecordBatch:
+    """Decode a sequence of v5 packets into one batch, in packet order."""
+    return RecordBatch.concat(
+        [decode_packet(packet, engines) for packet in packets], engines.names
+    )

@@ -6,62 +6,103 @@ different routers"; the collector reproduces that: records are grouped by
 flow key, and within a group each *router's* contribution is summed, but
 the flow's volume is taken from the single router that saw the most of it
 (its entry router) rather than from the sum over routers.
+
+Records are buffered as :class:`~repro.netflow.records.RecordBatch`
+columns and deduplicated with numpy reductions: one sort by (flow key,
+router), per-router sums, then the maximum over routers.
 """
 
 from __future__ import annotations
 
-import collections
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.errors import DataError
-from repro.netflow.records import FlowKey, NetFlowRecord
+from repro.netflow.records import FlowKey, NetFlowRecord, RecordBatch, address_value
 
 
 class FlowCollector:
     """Accumulates NetFlow exports from many routers and deduplicates."""
 
     def __init__(self) -> None:
-        # key -> router -> [records]
-        self._records: dict = collections.defaultdict(
-            lambda: collections.defaultdict(list)
-        )
+        # Buffered batches, in arrival order.
+        self._parts: "list[RecordBatch]" = []
         self.records_seen = 0
 
     def ingest(self, record: NetFlowRecord) -> None:
         """Accept one exported record."""
-        self._records[record.key][record.router].append(record)
-        self.records_seen += 1
+        self.ingest_many([record])
 
     def ingest_many(self, records: Iterable[NetFlowRecord]) -> None:
-        for record in records:
-            self.ingest(record)
+        self.ingest_batch(RecordBatch.from_records(records))
+
+    def ingest_batch(self, batch: RecordBatch) -> None:
+        """Accept a batch of exported records."""
+        self._parts.append(batch)
+        self.records_seen += len(batch)
+
+    @property
+    def batch(self) -> RecordBatch:
+        """Every buffered record, in arrival order."""
+        if len(self._parts) != 1:
+            self._parts = [RecordBatch.concat(self._parts)]
+        return self._parts[0]
 
     def __len__(self) -> int:
         """Number of distinct flow keys seen."""
-        return len(self._records)
+        return len(self._grouped()[2])
 
-    def routers_for(self, key: FlowKey) -> "list[str]":
-        """Routers that exported records for a flow key."""
-        if key not in self._records:
-            raise DataError(f"no records for flow key {key}")
-        return sorted(self._records[key])
+    # ------------------------------------------------------------------
+    # Deduplication
+    # ------------------------------------------------------------------
+
+    def _grouped(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Per-(key, router) octet sums in flow-key order.
+
+        Returns ``(rows, sums, key_starts)``: ``rows[g]`` is a buffered
+        row of group ``g``, ``sums[g]`` its estimated octets, and
+        ``key_starts`` the first group of each distinct key.
+        """
+        batch = self.batch
+        if not len(batch):
+            empty = np.empty(0, np.intp)
+            return empty, np.empty(0, np.int64), empty
+        high, low = batch.key_words()
+        order = np.lexsort((batch.router, low, high))
+        high, low, router = high[order], low[order], batch.router[order]
+        new_key = np.empty(len(order), bool)
+        new_key[0] = True
+        np.not_equal(high[1:], high[:-1], out=new_key[1:])
+        new_key[1:] |= low[1:] != low[:-1]
+        new_group = new_key.copy()
+        new_group[1:] |= router[1:] != router[:-1]
+        starts = np.flatnonzero(new_group)
+        sums = np.add.reduceat(batch.estimated_octets()[order], starts)
+        return order[starts], sums, np.flatnonzero(new_key[starts])
+
+    def deduplicated(self) -> "tuple[RecordBatch, np.ndarray]":
+        """Deduplicated volume per flow key, as columns.
+
+        Returns one row per distinct key, in flow-key order (addresses as
+        dotted strings, then ports and protocol), and each key's estimated
+        true bytes: the **maximum** over routers of the router's summed
+        sampled counters scaled by their sampling intervals, so a flow
+        exported by every router on its path is counted once.
+        """
+        rows, sums, key_starts = self._grouped()
+        if not len(rows):
+            return self.batch, sums
+        return (
+            self.batch.take(rows[key_starts]),
+            np.maximum.reduceat(sums, key_starts),
+        )
 
     def deduplicated_octets(self) -> dict:
-        """Estimated true bytes per flow key, duplicates suppressed.
-
-        For each key, per-router totals are computed from the sampled
-        counters (scaled by each record's sampling interval); the flow's
-        volume is the **maximum** per-router total, so a flow exported by
-        every router on its path is counted once.
-        """
-        volumes = {}
-        for key, by_router in self._records.items():
-            per_router = {
-                router: sum(r.estimated_octets for r in records)
-                for router, records in by_router.items()
-            }
-            volumes[key] = max(per_router.values())
-        return volumes
+        """Estimated true bytes per flow key, duplicates suppressed
+        (see :meth:`deduplicated`)."""
+        keys, volumes = self.deduplicated()
+        return dict(zip(keys.flow_keys(), volumes.tolist()))
 
     def total_octets(self) -> dict:
         """Estimated true bytes per flow key, summed across all routers.
@@ -69,38 +110,49 @@ class FlowCollector:
         No duplicate suppression — use when every record comes from a
         single export point (e.g. one customer-facing edge router).
         """
-        return {
-            key: sum(
-                r.estimated_octets
-                for records in by_router.values()
-                for r in records
-            )
-            for key, by_router in self._records.items()
-        }
+        rows, sums, key_starts = self._grouped()
+        if not len(rows):
+            return {}
+        keys = self.batch.take(rows[key_starts]).flow_keys()
+        return dict(zip(keys, np.add.reduceat(sums, key_starts).tolist()))
+
+    def _rows_of(self, key: FlowKey) -> RecordBatch:
+        batch = self.batch
+        match = (
+            (batch.src == address_value(key.src_addr))
+            & (batch.dst == address_value(key.dst_addr))
+            & (batch.src_port == key.src_port)
+            & (batch.dst_port == key.dst_port)
+            & (batch.protocol == key.protocol)
+        )
+        if not match.any():
+            raise DataError(f"no records for flow key {key}")
+        return batch.take(match)
+
+    def routers_for(self, key: FlowKey) -> "list[str]":
+        """Routers that exported records for a flow key."""
+        rows = self._rows_of(key)
+        return sorted({rows.routers[code] for code in rows.router.tolist()})
 
     def entry_router(self, key: FlowKey) -> str:
         """The router credited with the flow (the one that saw the most)."""
-        if key not in self._records:
-            raise DataError(f"no records for flow key {key}")
-        per_router = {
-            router: sum(r.estimated_octets for r in records)
-            for router, records in self._records[key].items()
-        }
+        rows = self._rows_of(key)
+        per_router: dict = {}
+        for code, octets in zip(rows.router.tolist(), rows.estimated_octets().tolist()):
+            router = rows.routers[code]
+            per_router[router] = per_router.get(router, 0) + octets
         return max(per_router, key=lambda router: (per_router[router], router))
+
+    # ------------------------------------------------------------------
+    # Records, eviction, time span
+    # ------------------------------------------------------------------
 
     def iter_records(self) -> "Iterable[NetFlowRecord]":
         """All buffered records, in deterministic (time, key, router) order."""
-        records = [
-            record
-            for by_router in self._records.values()
-            for group in by_router.values()
-            for record in group
-        ]
-        records.sort(key=_record_sort)
-        return records
+        return self.batch.sorted().to_records()
 
-    def drain(self, older_than_ms: "int | None" = None) -> "list[NetFlowRecord]":
-        """Remove and return buffered records, oldest first.
+    def drain_batch(self, older_than_ms: "int | None" = None) -> RecordBatch:
+        """Remove and return buffered records, in arrival order.
 
         Args:
             older_than_ms: Only records whose ``last_ms`` is strictly below
@@ -108,61 +160,25 @@ class FlowCollector:
 
         The streaming windower calls this after closing a window so the
         collector does not grow without bound over an unbounded record
-        stream.  Dedup semantics are untouched: records that remain keep
-        their (key, router) grouping, and :attr:`records_seen` stays a
-        cumulative ingest count.  Returned records are sorted by
-        ``(last_ms, first_ms, key, router)`` so replays are deterministic.
+        stream.  Dedup semantics are untouched, and :attr:`records_seen`
+        stays a cumulative ingest count.
         """
-        drained = []
-        for key in list(self._records):
-            by_router = self._records[key]
-            for router in list(by_router):
-                group = by_router[router]
-                if older_than_ms is None:
-                    keep: "list[NetFlowRecord]" = []
-                    drained.extend(group)
-                else:
-                    keep = [r for r in group if r.last_ms >= older_than_ms]
-                    drained.extend(
-                        r for r in group if r.last_ms < older_than_ms
-                    )
-                if keep:
-                    by_router[router] = keep
-                else:
-                    del by_router[router]
-            if not by_router:
-                del self._records[key]
-        drained.sort(key=_record_sort)
-        return drained
+        batch = self.batch
+        if older_than_ms is None:
+            self._parts = []
+            return batch
+        old = batch.last_ms < older_than_ms
+        self._parts = [batch.take(~old)]
+        return batch.take(old)
+
+    def drain(self, older_than_ms: "int | None" = None) -> "list[NetFlowRecord]":
+        """:meth:`drain_batch` as records, sorted by ``(last_ms,
+        first_ms, key, router)`` so replays are deterministic."""
+        return self.drain_batch(older_than_ms).sorted().to_records()
 
     def time_span_ms(self) -> "tuple[int, int]":
         """(earliest first_ms, latest last_ms) across all records."""
-        if not self._records:
+        batch = self.batch
+        if not len(batch):
             raise DataError("collector is empty")
-        first = min(
-            r.first_ms
-            for by_router in self._records.values()
-            for records in by_router.values()
-            for r in records
-        )
-        last = max(
-            r.last_ms
-            for by_router in self._records.values()
-            for records in by_router.values()
-            for r in records
-        )
-        return first, last
-
-
-def _record_sort(record: NetFlowRecord) -> tuple:
-    key = record.key
-    return (
-        record.last_ms,
-        record.first_ms,
-        key.src_addr,
-        key.dst_addr,
-        key.src_port,
-        key.dst_port,
-        key.protocol,
-        record.router,
-    )
+        return int(batch.first_ms.min()), int(batch.last_ms.max())

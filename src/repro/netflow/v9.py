@@ -8,7 +8,8 @@ models faithfully:
 
 * decoding is **stateful** — a :class:`V9Decoder` caches templates per
   ``(source_id, template_id)`` and must buffer data FlowSets that arrive
-  before their template (a real operational failure mode);
+  before their template (a real operational failure mode), up to
+  :data:`MAX_PENDING_BYTES`;
 * data FlowSets are padded to 32-bit boundaries;
 * unknown field types are skipped by length, so exporters can add fields
   without breaking old collectors.
@@ -66,6 +67,9 @@ STANDARD_FIELDS = (
 )
 #: Template id the encoder announces.
 STANDARD_TEMPLATE_ID = 260
+#: Most data-FlowSet bytes a decoder buffers while their templates are
+#: missing; a stream past it raises instead of growing without bound.
+MAX_PENDING_BYTES = 256 * 1024
 
 _HEADER = struct.Struct(">HHIIII")  # version, count, uptime, secs, seq, source
 
@@ -184,9 +188,10 @@ class V9Decoder:
         self._router_of_source = dict(router_of_source)
         self._templates: dict = {}
         self._pending: dict = {}
+        self._pending_bytes = 0
 
     def pending_bytes(self) -> int:
-        return sum(len(chunk) for chunks in self._pending.values() for chunk in chunks)
+        return self._pending_bytes
 
     def decode(self, packet: bytes) -> "list[NetFlowRecord]":
         """Decode one packet; returns all records now decodable."""
@@ -244,6 +249,7 @@ class V9Decoder:
             self._templates[(source_id, template_id)] = template
             # Drain any data that was waiting for this template.
             for chunk in self._pending.pop((source_id, template_id), []):
+                self._pending_bytes -= len(chunk)
                 produced.extend(self._decode_data(source_id, template, chunk))
         return produced
 
@@ -252,7 +258,14 @@ class V9Decoder:
     ) -> "list[NetFlowRecord]":
         template = self._templates.get((source_id, template_id))
         if template is None:
+            if self._pending_bytes + len(body) > MAX_PENDING_BYTES:
+                raise DataError(
+                    f"over {MAX_PENDING_BYTES} bytes of data FlowSets wait "
+                    f"for templates (template {template_id} of source "
+                    f"{source_id} never arrived)"
+                )
             self._pending.setdefault((source_id, template_id), []).append(body)
+            self._pending_bytes += len(body)
             return []
         return self._decode_data(source_id, template, body)
 
@@ -280,10 +293,15 @@ class V9Decoder:
             if ftype not in values:
                 raise DataError(f"template lacks required field type {ftype}")
         octets = values[IN_BYTES]
+        try:
+            src = str(ipaddress.IPv4Address(values[IPV4_SRC_ADDR]))
+            dst = str(ipaddress.IPv4Address(values[IPV4_DST_ADDR]))
+        except ipaddress.AddressValueError as exc:
+            raise DataError(f"IPv4 address field out of range: {exc}") from exc
         return NetFlowRecord(
             key=FlowKey(
-                src_addr=str(ipaddress.IPv4Address(values[IPV4_SRC_ADDR])),
-                dst_addr=str(ipaddress.IPv4Address(values[IPV4_DST_ADDR])),
+                src_addr=src,
+                dst_addr=dst,
                 src_port=values.get(L4_SRC_PORT, 0),
                 dst_port=values.get(L4_DST_PORT, 0),
                 protocol=values.get(PROTOCOL, 0),

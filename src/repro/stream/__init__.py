@@ -5,7 +5,9 @@ and derives tiers once.  This package runs the same chain online: record
 sources feed a bounded backpressure queue, event-time windows close over
 export timestamps, each window recalibrates the market, and tiers are
 re-derived only when the measured drift (stale-vs-refreshed profit
-capture) crosses a threshold.  Pipelines checkpoint after every window,
+capture) crosses a threshold.  Records travel as
+:class:`~repro.netflow.records.RecordBatch` columns from the wire decoder
+to the window's flow set.  Pipelines checkpoint after every window,
 so a killed stream resumes mid-flight with bit-identical results.
 
 Entry points: :class:`StreamingPipeline` from Python, or
@@ -23,7 +25,7 @@ from repro.stream.pipeline import (
     StreamingPipeline,
     StreamReport,
 )
-from repro.stream.queue import BoundedQueue, POLICIES
+from repro.stream.queue import BoundedQueue, POLICIES, RecordQueue
 from repro.stream.repricer import (
     DesignPublication,
     OnlineRepricer,
@@ -51,6 +53,7 @@ __all__ = [
     "OnlineRepricer",
     "POLICIES",
     "PipelineCheckpoint",
+    "RecordQueue",
     "STATUS_EMPTY",
     "STATUS_PRICED",
     "STATUS_SKIPPED",

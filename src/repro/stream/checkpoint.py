@@ -133,6 +133,7 @@ def checkpoint_from_json(text: str, expected_digest: str) -> PipelineCheckpoint:
         )
     try:
         windower = dict(payload["windower"])
+        _check_cursor(windower)
         windower["pending"] = [
             record_from_dict(r) for r in windower["pending"]
         ]
@@ -159,6 +160,17 @@ def checkpoint_from_json(text: str, expected_digest: str) -> PipelineCheckpoint:
     )
 
 
+def _check_cursor(windower: dict) -> None:
+    """The windower's cursor must be integers (``next_start`` may be null
+    before the first record)."""
+    for name in ("next_start", "max_ts", "late_dropped"):
+        value = windower[name]
+        if type(value) is not int and not (name == "next_start" and value is None):
+            raise DataError(
+                f"checkpoint windower {name} must be an integer, got {value!r}"
+            )
+
+
 def save_checkpoint(
     checkpoint: PipelineCheckpoint, path: PathLike
 ) -> pathlib.Path:
@@ -175,4 +187,8 @@ def load_checkpoint(path: PathLike, expected_digest: str) -> PipelineCheckpoint:
     path = pathlib.Path(path)
     if not path.exists():
         raise DataError(f"no such checkpoint file: {path}")
-    return checkpoint_from_json(path.read_text(), expected_digest)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"checkpoint {path} is not UTF-8: {exc}") from exc
+    return checkpoint_from_json(text, expected_digest)

@@ -3,9 +3,10 @@
 :class:`StreamingPipeline` runs the paper's full measure→model→design
 loop continuously instead of once over a 24-hour batch:
 
-1. records are pulled from a source (trace replay or decoded wire
-   packets) into a :class:`~repro.stream.queue.BoundedQueue` with an
-   explicit backpressure policy;
+1. record batches are pulled from a source (decoded wire packets, or
+   record iterables such as a trace replay, batched at the pipeline's
+   edge) into a :class:`~repro.stream.queue.RecordQueue` with an explicit
+   backpressure policy;
 2. the queue drains into a :class:`~repro.stream.window.Windower` whenever
    it fills or a window boundary passes, closing tumbling/sliding
    event-time windows;
@@ -35,13 +36,14 @@ from repro.core.bundling import BundlingStrategy, ProfitWeightedBundling
 from repro.core.cost import CostModel
 from repro.core.demand import DemandModel
 from repro.errors import DataError
+from repro.netflow.records import RecordBatch
 from repro.obs import METRICS
 from repro.stream.checkpoint import (
     PipelineCheckpoint,
     load_checkpoint,
     save_checkpoint,
 )
-from repro.stream.queue import BoundedQueue
+from repro.stream.queue import RecordQueue
 from repro.stream.repricer import (
     OnlineRepricer,
     STATUS_PRICED,
@@ -55,6 +57,9 @@ from repro.accounting.tier_designer import TierDesign
 # re-exported here (and from repro.stream) so existing imports keep
 # working.  Checkpoint digests are unchanged — same fields, same hash.
 __all__ = ["StreamConfig", "StreamReport", "StreamingPipeline"]
+
+#: Most records a record-iterable source contributes to one batch.
+EDGE_BATCH_RECORDS = 1024
 
 
 @dataclasses.dataclass
@@ -126,8 +131,9 @@ class StreamingPipeline:
     """Drives records from a source through windows into the repricer.
 
     Args:
-        source: Iterable of :class:`~repro.netflow.records.NetFlowRecord`
-            in rough export order (see :mod:`repro.stream.source`).
+        source: Iterable of :class:`~repro.netflow.records.RecordBatch`
+            or of :class:`~repro.netflow.records.NetFlowRecord`, in rough
+            export order (see :mod:`repro.stream.source`).
         distance_fn: Flow key -> miles, the per-network cost proxy.
         demand_model / cost_model: The market model for every window.
         config: Streaming knobs (:class:`StreamConfig`).
@@ -173,7 +179,7 @@ class StreamingPipeline:
 
             self._digest = tag_config_digest(self._digest, mechanism.name)
 
-        self.queue = BoundedQueue(config.queue_capacity, config.queue_policy)
+        self.queue = RecordQueue(config.queue_capacity, config.queue_policy)
         self.windower = Windower(
             config.window_ms,
             config.slide_ms,
@@ -216,7 +222,10 @@ class StreamingPipeline:
         self.records_consumed = checkpoint.records_consumed
         self._skip = checkpoint.records_consumed
         self.windower.restore(checkpoint.windower_state)
-        self.queue.restore(checkpoint.queued_records, checkpoint.queue_counters)
+        self.queue.restore(
+            RecordBatch.from_records(checkpoint.queued_records),
+            checkpoint.queue_counters,
+        )
         self.repricer.design = checkpoint.design
         self.results = list(checkpoint.results)
         METRICS.incr("stream.restores")
@@ -229,7 +238,7 @@ class StreamingPipeline:
                 config_digest=self._digest,
                 records_consumed=self.records_consumed,
                 windower_state=self.windower.state(),
-                queued_records=self.queue.snapshot(),
+                queued_records=self.queue.snapshot().to_records(),
                 queue_counters=self.queue.counters(),
                 design=self.repricer.design,
                 results=self.results,
@@ -261,20 +270,28 @@ class StreamingPipeline:
             window_ms=self.config.window_ms,
             drift_threshold=self.config.drift_threshold,
         ):
-            for record in self.source:
+            for batch in self._batches():
+                if not len(batch):
+                    continue
                 if self._skip > 0:
                     # Fast-forward over records a restored checkpoint
                     # already accounted for.
-                    self._skip -= 1
-                    continue
-                self.records_consumed += 1
-                METRICS.incr("stream.records")
-                if not self.queue.offer(record):
+                    if self._skip >= len(batch):
+                        self._skip -= len(batch)
+                        continue
+                    batch = batch.take(slice(self._skip, None))
+                    self._skip = 0
+                self.records_consumed += len(batch)
+                METRICS.incr("stream.records", len(batch))
+                rest = self.queue.offer(batch)
+                while rest is not None:
                     # Full queue under the block policy: the "producer"
                     # waits by letting the consumer catch up first.
                     self._process_queue()
-                    self.queue.offer(record)
-                if self._boundary_passed(record.last_ms):
+                    rest = self.queue.offer(rest)
+                if self._boundary_passed(
+                    int(batch.last_ms[0]), int(batch.last_ms.max())
+                ):
                     self._process_queue()
                 if max_windows is not None and len(self.results) >= max_windows:
                     stopped_early = True
@@ -294,19 +311,49 @@ class StreamingPipeline:
             wall_time_s=time.perf_counter() - start,
         )
 
-    def _boundary_passed(self, ts_ms: int) -> bool:
-        """Has event time moved past the next window close?"""
+    def _batches(self):
+        """The source's items as record batches.
+
+        Record objects are gathered into batches of up to
+        :data:`EDGE_BATCH_RECORDS`, cut after any record that passes the
+        next window boundary, so queue drains (and so ``max_windows``
+        stops) fall where they would record by record.
+        """
+        pending: list = []
+        for item in self.source:
+            if isinstance(item, RecordBatch):
+                if pending:
+                    yield RecordBatch.from_records(pending)
+                    pending = []
+                yield item
+                continue
+            pending.append(item)
+            if len(pending) >= EDGE_BATCH_RECORDS or self._boundary_passed(
+                item.last_ms, item.last_ms
+            ):
+                yield RecordBatch.from_records(pending)
+                pending = []
+        if pending:
+            yield RecordBatch.from_records(pending)
+
+    def _boundary_passed(self, first_ms: int, latest_ms: int) -> bool:
+        """Has event time moved past the next window close?
+
+        ``first_ms`` is the first timestamp of the item checked and
+        ``latest_ms`` its largest.
+        """
         next_close = self.windower.next_close_ms
         if next_close is None:
             if self._close_hint is None:
-                self._close_hint = self.windower.first_close_for(ts_ms)
+                self._close_hint = self.windower.first_close_for(first_ms)
             next_close = self._close_hint
-        return ts_ms - self.config.reorder_tolerance_ms >= next_close
+        return latest_ms - self.config.reorder_tolerance_ms >= next_close
 
     def _process_queue(self) -> None:
         self._close_hint = None
-        for record in self.queue.drain():
-            for window in self.windower.ingest(record):
+        batch = self.queue.drain()
+        if len(batch):
+            for window in self.windower.ingest(batch):
                 self._handle_window(window)
 
     def _handle_window(self, window: ClosedWindow) -> None:
@@ -316,7 +363,7 @@ class StreamingPipeline:
             end_ms=window.bounds.end_ms,
             records=window.n_records,
         ) as span:
-            if not window.records:
+            if not window.n_records:
                 result = self.repricer.empty_window(window)
             else:
                 try:

@@ -1,8 +1,9 @@
 """Record sources feeding the streaming pipeline.
 
-A *source* is any iterable of :class:`~repro.netflow.records.NetFlowRecord`
-delivered roughly in export-time order.  Three sources cover the pipeline's
-inputs:
+A *source* is any iterable of :class:`~repro.netflow.records.RecordBatch`
+or of :class:`~repro.netflow.records.NetFlowRecord`, delivered roughly in
+export-time order; the pipeline batches record iterables at its edge.
+Three sources cover the pipeline's inputs:
 
 * :class:`TraceReplaySource` — replays a synthetic
   :class:`~repro.synth.trace.NetworkTrace` as a live export stream.  The
@@ -13,7 +14,7 @@ inputs:
   exactly) and yields them sorted by export timestamp, so windows see a
   continuous stream rather than one end-of-capture burst.
 * :class:`V5PacketSource` — decodes binary NetFlow v5 packets
-  (:mod:`repro.netflow.codec`) on the fly.
+  (:mod:`repro.netflow.codec`) on the fly, one record batch per packet.
 * :class:`V9PacketSource` — decodes template-based NetFlow v9 packets
   through a stateful :class:`~repro.netflow.v9.V9Decoder`.
 
@@ -31,7 +32,7 @@ from typing import Optional
 
 from repro.errors import DataError
 from repro.netflow.codec import EngineMap, decode_packet
-from repro.netflow.records import FlowKey, NetFlowRecord
+from repro.netflow.records import FlowKey, NetFlowRecord, RecordBatch
 from repro.netflow.v9 import V9Decoder
 from repro.synth.trace import NetworkTrace
 
@@ -182,18 +183,19 @@ def _rechunk(
 
 
 class V5PacketSource:
-    """Decode an iterable of binary NetFlow v5 packets into records."""
+    """Decode an iterable of binary NetFlow v5 packets into record
+    batches, one per packet; packets are read one at a time."""
 
     def __init__(self, packets: Iterable[bytes], engines: EngineMap) -> None:
         self._packets = packets
         self._engines = engines
         self.packets_decoded = 0
 
-    def __iter__(self) -> Iterator[NetFlowRecord]:
+    def __iter__(self) -> Iterator[RecordBatch]:
         for packet in self._packets:
-            records = decode_packet(packet, self._engines)
+            batch = decode_packet(packet, self._engines)
             self.packets_decoded += 1
-            yield from records
+            yield batch
 
 
 class V9PacketSource:

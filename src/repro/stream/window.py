@@ -7,12 +7,18 @@ tolerance — passes the window's end.  Records that arrive out of order
 within the tolerance still land in the right windows; records arriving
 after every window covering them has closed are counted and dropped.
 
+Records arrive as :class:`~repro.netflow.records.RecordBatch` columns.
+Inside a batch the windower is exact without a per-record loop: a running
+maximum of ``last_ms`` gives the watermark after every record, the batch
+is split at the records that close windows, and each piece is checked
+for lateness against the windows still open when it arrived.
+
 Buffering reuses the measurement substrate directly: records sit in one
 shared :class:`~repro.netflow.collector.FlowCollector`, each closed
 window selects its records by timestamp, and the collector's time-based
-:meth:`~repro.netflow.collector.FlowCollector.drain` evicts whatever no
-future window can need — the collector stays bounded over an unbounded
-stream.
+:meth:`~repro.netflow.collector.FlowCollector.drain_batch` evicts
+whatever no future window can need — the collector stays bounded over an
+unbounded stream.
 """
 
 from __future__ import annotations
@@ -20,11 +26,13 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro.core.flow import FlowSet
 from repro.errors import ConfigurationError
 from repro.netflow.aggregation import aggregate_to_flowset
 from repro.netflow.collector import FlowCollector
-from repro.netflow.records import NetFlowRecord
+from repro.netflow.records import RecordBatch
 from repro.obs import METRICS
 
 
@@ -48,16 +56,21 @@ class ClosedWindow:
     """One closed window and the deduplicable records that fell in it."""
 
     bounds: WindowBounds
-    records: tuple
+    batch: RecordBatch
 
     @property
     def n_records(self) -> int:
-        return len(self.records)
+        return len(self.batch)
+
+    @property
+    def records(self) -> tuple:
+        """The window's records as objects, in record order."""
+        return tuple(self.batch.sorted().to_records())
 
     def collector(self) -> FlowCollector:
         """The window's records in a fresh collector (dedup semantics)."""
         collector = FlowCollector()
-        collector.ingest_many(self.records)
+        collector.ingest_batch(self.batch)
         return collector
 
     def flowset(
@@ -134,10 +147,6 @@ class Windower:
         lower = ts_ms - self.window_ms + 1
         return max(0, -(-lower // self.slide_ms) * self.slide_ms)
 
-    def latest_cover_start(self, ts_ms: int) -> int:
-        """Start of the latest aligned window covering ``ts_ms``."""
-        return (ts_ms // self.slide_ms) * self.slide_ms
-
     @property
     def next_close_ms(self) -> "Optional[int]":
         """End of the next window to close (``None`` before any record)."""
@@ -167,21 +176,54 @@ class Windower:
     # Streaming
     # ------------------------------------------------------------------
 
-    def ingest(self, record: NetFlowRecord) -> "list[ClosedWindow]":
-        """Buffer one record; return any windows this record's time closes."""
-        ts = record.last_ms
-        if self._next_start is None:
-            self._next_start = self._opening_start(ts)
-        if self.latest_cover_start(ts) < self._next_start:
-            # Every window covering this timestamp has already closed:
-            # the record is late beyond the reorder tolerance.
-            self.late_dropped += 1
-            METRICS.incr("stream.late_dropped")
+    def ingest(self, batch: RecordBatch) -> "list[ClosedWindow]":
+        """Buffer a batch of records, in arrival order; return the
+        windows it closes, in order.
+
+        The result equals ingesting the records one at a time: a window
+        closes at the record whose timestamp pushes the watermark past its
+        end, and records after that one never enter it.
+        """
+        n = len(batch)
+        if not n:
             return []
-        self._collector.ingest(record)
-        if ts > self._max_ts:
-            self._max_ts = ts
-        return self._close_ready()
+        ts = batch.last_ms
+        if self._next_start is None:
+            self._next_start = self._opening_start(int(ts[0]))
+        # Windows due to have closed once each record is in.
+        high = np.maximum(np.maximum.accumulate(ts), self._max_ts)
+        due = np.maximum(
+            (high - self.reorder_tolerance_ms - self._next_start - self.window_ms)
+            // self.slide_ms
+            + 1,
+            0,
+        )
+        # Split after each closing record; each piece is late-checked
+        # against the windows still open when it arrived.
+        stops = (np.flatnonzero(np.diff(due, prepend=0)) + 1).tolist()
+        if not stops or stops[-1] != n:
+            stops.append(n)
+        closed: "list[ClosedWindow]" = []
+        start = 0
+        for stop in stops:
+            self._admit(batch.take(slice(start, stop)))
+            while len(closed) < due[stop - 1]:
+                closed.append(self._emit())
+            start = stop
+        self._max_ts = int(high[-1])
+        return closed
+
+    def _admit(self, batch: RecordBatch) -> None:
+        # Every window covering a timestamp before the next window start
+        # has already closed: such records are late beyond the reorder
+        # tolerance.
+        live = batch.last_ms >= self._next_start
+        late = len(batch) - int(np.count_nonzero(live))
+        if late:
+            self.late_dropped += late
+            METRICS.incr("stream.late_dropped", late)
+            batch = batch.take(live)
+        self._collector.ingest_batch(batch)
 
     def flush(self) -> "list[ClosedWindow]":
         """End of stream: close every window up to the last timestamp."""
@@ -192,26 +234,19 @@ class Windower:
             closed.append(self._emit())
         return closed
 
-    def _close_ready(self) -> "list[ClosedWindow]":
-        closed = []
-        watermark = self._max_ts - self.reorder_tolerance_ms
-        while self._next_start + self.window_ms <= watermark:
-            closed.append(self._emit())
-        return closed
-
     def _emit(self) -> ClosedWindow:
         start = self._next_start
         assert start is not None
         end = start + self.window_ms
-        records = tuple(
-            r for r in self._collector.iter_records() if start <= r.last_ms < end
-        )
+        buffered = self._collector.batch
+        ts = buffered.last_ms
+        batch = buffered.take((ts >= start) & (ts < end))
         self._next_start = start + self.slide_ms
         # No future window starts before the new cursor, so records whose
         # timestamp precedes it can never be selected again: evict them.
-        self._collector.drain(self._next_start)
+        self._collector.drain_batch(self._next_start)
         METRICS.incr("stream.windows_closed")
-        return ClosedWindow(bounds=WindowBounds(start, end), records=records)
+        return ClosedWindow(bounds=WindowBounds(start, end), batch=batch)
 
     # ------------------------------------------------------------------
     # Checkpoint support

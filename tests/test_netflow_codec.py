@@ -1,4 +1,8 @@
-"""Tests for the binary NetFlow v5 codec."""
+"""Tests for the binary NetFlow v5 codec, and seeded hostile-input fuzzing
+of the v5 and v9 decoders."""
+
+import random
+import struct
 
 import pytest
 
@@ -14,7 +18,9 @@ from repro.netflow.codec import (
 )
 from repro.netflow.collector import FlowCollector
 from repro.netflow.records import FlowKey, NetFlowRecord, PROTO_TCP
+from repro.netflow.v9 import MAX_PENDING_BYTES, V9Decoder, V9Encoder
 from repro.synth.trace import generate_network_trace
+from tests import netflow_reference
 
 
 @pytest.fixture
@@ -67,7 +73,7 @@ class TestEngineMap:
         engines = EngineMap([f"R{i}" for i in range(300)])
         for router in ("R0", "R255", "R256", "R299"):
             packet = encode_packet([record(0, router=router)], engines)
-            decoded = decode_packet(packet, engines)
+            decoded = decode_packet(packet, engines).to_records()
             assert decoded[0].router == router
         # engine_type (header byte 20) is the high byte of the number.
         packet = encode_packet([record(0, router="R299")], engines)
@@ -79,7 +85,7 @@ class TestSinglePacket:
     def test_roundtrip_preserves_fields(self, engines):
         original = [record(i) for i in range(5)]
         decoded = decode_packet(encode_packet(original, engines), engines)
-        assert decoded == original
+        assert decoded.to_records() == original
 
     def test_packet_sizes(self, engines):
         packet = encode_packet([record(0), record(1)], engines)
@@ -87,14 +93,14 @@ class TestSinglePacket:
 
     def test_sampling_interval_survives(self, engines):
         original = [record(0, sampling=100)]
-        decoded = decode_packet(encode_packet(original, engines), engines)
+        decoded = decode_packet(encode_packet(original, engines), engines).to_records()
         assert decoded[0].sampling_interval == 100
         assert decoded[0].estimated_octets == original[0].estimated_octets
 
     def test_router_identity_via_engine_id(self, engines):
         decoded = decode_packet(
             encode_packet([record(0, router="R3")], engines), engines
-        )
+        ).to_records()
         assert decoded[0].router == "R3"
 
     def test_empty_packet_rejected(self, engines):
@@ -146,14 +152,14 @@ class TestStream:
         packets = encode_packets(records, engines)
         assert len(packets) == 3  # 30 + 30 + 15
         assert sorted(
-            r.key.src_port for r in decode_packets(packets, engines)
+            r.key.src_port for r in decode_packets(packets, engines).to_records()
         ) == sorted(r.key.src_port for r in records)
 
     def test_groups_by_router(self, engines):
         records = [record(0, "R1"), record(1, "R2"), record(2, "R1")]
         packets = encode_packets(records, engines)
         assert len(packets) == 2
-        decoded = decode_packets(packets, engines)
+        decoded = decode_packets(packets, engines).to_records()
         assert {r.router for r in decoded} == {"R1", "R2"}
 
     def test_full_trace_roundtrips_through_the_wire(self):
@@ -167,5 +173,129 @@ class TestStream:
         direct = FlowCollector()
         direct.ingest_many(trace.records)
         via_wire = FlowCollector()
-        via_wire.ingest_many(decoded)
+        via_wire.ingest_batch(decoded)
         assert direct.deduplicated_octets() == via_wire.deduplicated_octets()
+
+
+def _outcome(decode, packet, engines):
+    """Decoded records, or ``DataError``; any other exception escapes."""
+    try:
+        result = decode(packet, engines)
+    except DataError:
+        return DataError
+    return result if isinstance(result, list) else result.to_records()
+
+
+def _mutants(packet: bytes, rng: random.Random):
+    """Seeded hostile variants of one valid v5 packet."""
+    n = len(packet)
+    yield packet[: rng.randrange(n)]  # truncation
+    yield packet + bytes(rng.randrange(1, 60))  # trailing bytes
+    counted = bytearray(packet)
+    struct.pack_into(">H", counted, 2, rng.randrange(65536))  # count/length
+    yield bytes(counted)
+    versioned = bytearray(packet)
+    struct.pack_into(">H", versioned, 0, rng.choice([0, 1, 7, 9, 10, 0x0500]))
+    yield bytes(versioned)
+    engine = bytearray(packet)
+    engine[20], engine[21] = rng.randrange(256), rng.randrange(256)
+    yield bytes(engine)
+    sampling = bytearray(packet)
+    struct.pack_into(">H", sampling, 22, rng.randrange(65536))
+    yield bytes(sampling)
+    for _ in range(8):  # byte flips in record bodies
+        flipped = bytearray(packet)
+        for _ in range(rng.randrange(1, 6)):
+            flipped[rng.randrange(24, n)] ^= 1 << rng.randrange(8)
+        yield bytes(flipped)
+    count = (n - 24) // 48
+    backwards = bytearray(packet)  # one record ends before it starts
+    row = 24 + 48 * rng.randrange(count)
+    first, last = struct.unpack_from(">II", backwards, row + 24)
+    struct.pack_into(">II", backwards, row + 24, last + 1 + rng.randrange(1000), last)
+    yield bytes(backwards)
+    silent = bytearray(packet)  # packets but no octets
+    struct.pack_into(">II", silent, row + 16, 1 + rng.randrange(100), 0)
+    yield bytes(silent)
+
+
+class TestDecoderFuzz:
+    """The columnar decoder against the per-record reference on mutated
+    packets: the same records, or ``DataError`` from both."""
+
+    def test_mutated_v5_packets(self, engines):
+        rng = random.Random(5)
+        records = [
+            NetFlowRecord(
+                key=FlowKey(
+                    f"10.{i % 7}.{i % 250}.{i % 13}", f"192.0.{i % 3}.{i % 200}",
+                    rng.randrange(65536), rng.randrange(65536), rng.choice([6, 17, 1]),
+                ),
+                octets=rng.randrange(1, 1 << 32),
+                packets=rng.randrange(0, 1 << 20),
+                first_ms=i * 10,
+                last_ms=i * 10 + rng.randrange(5000),
+                router=("R1", "R2", "R3")[i % 3],
+                input_if=rng.randrange(65536),
+                output_if=rng.randrange(65536),
+                sampling_interval=(1, 100, 16383)[i % 3],
+            )
+            for i in range(150)
+        ]
+        packets = encode_packets(records, engines)
+        assert len(packets) >= 6
+        cases = rejected = 0
+        for packet in packets:
+            assert _outcome(decode_packet, packet, engines) == _outcome(
+                netflow_reference.decode_packet, packet, engines
+            )
+            for _ in range(25):
+                for mutant in _mutants(packet, rng):
+                    got = _outcome(decode_packet, mutant, engines)
+                    want = _outcome(netflow_reference.decode_packet, mutant, engines)
+                    assert got == want
+                    cases += 1
+                    rejected += want is DataError
+        # Both outcomes occur often: the fuzz reaches the record checks.
+        assert 0.3 * cases < rejected < 0.9 * cases
+
+    def test_v9_wide_address_field_is_a_data_error(self):
+        # IPV4_SRC_ADDR (type 8) declared 8 bytes wide, holding 2**40.
+        template = struct.pack(">HH", 300, 3) + struct.pack(">HHHHHH", 8, 8, 12, 4, 1, 4)
+        data = (2**40).to_bytes(8, "big") + bytes(4) + (1000).to_bytes(4, "big")
+        packet = (
+            struct.pack(">HHIIII", 9, 2, 0, 0, 0, 7)
+            + struct.pack(">HH", 0, 4 + len(template)) + template
+            + struct.pack(">HH", 300, 4 + len(data)) + data
+        )
+        with pytest.raises(DataError, match="address"):
+            V9Decoder({7: "R1"}).decode(packet)
+
+    def test_v9_orphan_data_is_bounded(self):
+        decoder = V9Decoder({7: "R1"})
+        body = bytes(1020)
+        packet = struct.pack(">HHIIII", 9, 1, 0, 0, 0, 7) + struct.pack(
+            ">HH", 300, 4 + len(body)
+        ) + body
+        with pytest.raises(DataError, match="templates"):
+            for _ in range(1000):
+                decoder.decode(packet)
+        assert 0 < decoder.pending_bytes() <= MAX_PENDING_BYTES
+
+    def test_v9_mutated_packets_raise_only_data_errors(self):
+        rng = random.Random(9)
+        packets = V9Encoder(source_id=7, max_records_per_packet=5).encode(
+            [record(i, octets=1000 + i) for i in range(40)]
+        )
+        for packet in packets:
+            for _ in range(40):
+                mutant = bytearray(packet)
+                for _ in range(rng.randrange(1, 6)):
+                    mutant[rng.randrange(len(mutant))] ^= 1 << rng.randrange(8)
+                cut = rng.choice([len(mutant), rng.randrange(len(mutant))])
+                decoder = V9Decoder({7: "R1"})
+                try:
+                    decoder.decode(packets[0])
+                    decoder.decode(bytes(mutant[:cut]))
+                except DataError:
+                    pass

@@ -118,7 +118,7 @@ class TestCodecProperties:
     def test_roundtrip_is_identity_up_to_order(self, values):
         records = [build_record(v) for v in values]
         engines = EngineMap(["R1", "R2", "R3"])
-        decoded = decode_packets(encode_packets(records, engines), engines)
+        decoded = decode_packets(encode_packets(records, engines), engines).to_records()
 
         def key(r):
             # Total order over every encoded field, so records that differ

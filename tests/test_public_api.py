@@ -91,3 +91,17 @@ def test_exit_codes_are_distinct_and_nonzero():
     codes = list(EXIT_CODES.values())
     assert len(codes) == len(set(codes))
     assert all(code not in (0, 1, 2) for code in codes)
+
+
+def test_record_batch_is_public():
+    """The columnar record type is exported from the NetFlow package, and
+    the stream's record-counted queue from the stream package."""
+    import repro.netflow
+    import repro.stream
+    from repro.netflow.records import RecordBatch
+    from repro.stream.queue import RecordQueue
+
+    assert repro.netflow.RecordBatch is RecordBatch
+    assert "RecordBatch" in repro.netflow.__all__
+    assert repro.stream.RecordQueue is RecordQueue
+    assert "RecordQueue" in repro.stream.__all__

@@ -9,7 +9,7 @@ from repro.core.ced import CEDDemand
 from repro.core.cost import LinearDistanceCost
 from repro.core.flow import FlowSet
 from repro.errors import ConfigurationError, DataError
-from repro.netflow.records import FlowKey, NetFlowRecord, PROTO_TCP
+from repro.netflow.records import FlowKey, NetFlowRecord, PROTO_TCP, RecordBatch
 from repro.stream import (
     BoundedQueue,
     DemandShift,
@@ -39,6 +39,10 @@ def key(n=1):
         dst_port=443,
         protocol=PROTO_TCP,
     )
+
+
+def batch(*records):
+    return RecordBatch.from_records(records)
 
 
 def record(k, first, last, octets=8000, router="R1"):
@@ -137,8 +141,8 @@ class TestBoundedQueue:
 class TestWindower:
     def test_tumbling_assignment_and_close(self):
         w = Windower(window_ms=100)
-        assert w.ingest(record(key(1), 0, 10)) == []
-        closed = w.ingest(record(key(2), 100, 105))
+        assert w.ingest(batch(record(key(1), 0, 10))) == []
+        closed = w.ingest(batch(record(key(2), 100, 105)))
         assert len(closed) == 1
         assert closed[0].bounds == WindowBounds(0, 100)
         assert [r.last_ms for r in closed[0].records] == [10]
@@ -150,8 +154,8 @@ class TestWindower:
         # A flow active across the boundary is exported once, at its end:
         # it belongs to the window containing last_ms, not first_ms.
         w = Windower(window_ms=100)
-        closed = list(w.ingest(record(key(1), 60, 130)))
-        closed += w.ingest(record(key(2), 250, 260))  # closes [0,100), [100,200)
+        closed = list(w.ingest(batch(record(key(1), 60, 130))))
+        closed += w.ingest(batch(record(key(2), 250, 260)))  # closes [0,100), [100,200)
         closed += w.flush()
         by_start = {c.bounds.start_ms: c for c in closed}
         assert [r.last_ms for r in by_start[100].records] == [130]
@@ -160,21 +164,21 @@ class TestWindower:
 
     def test_exact_boundary_timestamp_is_next_window(self):
         w = Windower(window_ms=100)
-        w.ingest(record(key(1), 90, 100))  # end-exclusive: window [100, 200)
+        w.ingest(batch(record(key(1), 90, 100)))  # end-exclusive: window [100, 200)
         closed = {c.bounds.start_ms: c for c in w.flush()}
         assert closed[100].n_records == 1
 
     def test_sliding_windows_overlap(self):
         w = Windower(window_ms=100, slide_ms=50)
-        w.ingest(record(key(1), 60, 70))
+        w.ingest(batch(record(key(1), 60, 70)))
         starts = [c.bounds.start_ms for c in w.flush()]
         assert starts == [0, 50]
         # The record is in both windows covering t=70.
 
     def test_sliding_membership(self):
         w = Windower(window_ms=100, slide_ms=50)
-        closed = list(w.ingest(record(key(1), 60, 70)))
-        closed += w.ingest(record(key(2), 150, 160))
+        closed = list(w.ingest(batch(record(key(1), 60, 70))))
+        closed += w.ingest(batch(record(key(2), 150, 160)))
         closed += w.flush()
         by_start = {c.bounds.start_ms: c for c in closed}
         assert [r.last_ms for r in by_start[0].records] == [70]
@@ -184,21 +188,21 @@ class TestWindower:
 
     def test_out_of_order_within_tolerance(self):
         w = Windower(window_ms=100, reorder_tolerance_ms=50)
-        w.ingest(record(key(1), 0, 120))
+        w.ingest(batch(record(key(1), 0, 120)))
         # 95 arrives after 120 but within the 50 ms tolerance: the
         # watermark (120 - 50 = 70) has not passed [0, 100) yet.
-        closed = w.ingest(record(key(2), 0, 95))
+        closed = w.ingest(batch(record(key(2), 0, 95)))
         assert closed == []
-        closed = w.ingest(record(key(3), 0, 155))  # watermark 105: close [0,100)
+        closed = w.ingest(batch(record(key(3), 0, 155)))  # watermark 105: close [0,100)
         assert len(closed) == 1
         assert [r.last_ms for r in closed[0].records] == [95]
         assert w.late_dropped == 0
 
     def test_late_beyond_tolerance_dropped(self):
         w = Windower(window_ms=100, reorder_tolerance_ms=0)
-        closed = list(w.ingest(record(key(1), 0, 10)))
-        closed += w.ingest(record(key(2), 200, 250))  # closes [0, 100)
-        assert w.ingest(record(key(3), 0, 20)) == []
+        closed = list(w.ingest(batch(record(key(1), 0, 10))))
+        closed += w.ingest(batch(record(key(2), 200, 250)))  # closes [0, 100)
+        assert w.ingest(batch(record(key(3), 0, 20))) == []
         assert w.late_dropped == 1
         # The late record appears in no window.
         closed += w.flush()
@@ -207,19 +211,19 @@ class TestWindower:
 
     def test_empty_windows_emitted_for_gaps(self):
         w = Windower(window_ms=100)
-        w.ingest(record(key(1), 0, 10))
-        closed = w.ingest(record(key(2), 350, 360))
+        w.ingest(batch(record(key(1), 0, 10)))
+        closed = w.ingest(batch(record(key(2), 350, 360)))
         statuses = [(c.bounds.start_ms, c.n_records) for c in closed]
         assert statuses == [(0, 1), (100, 0), (200, 0)]
 
     def test_eviction_keeps_buffer_bounded(self):
         w = Windower(window_ms=100)
         for i in range(50):
-            w.ingest(record(key(i % 5), i * 40, i * 40 + 5))
+            w.ingest(batch(record(key(i % 5), i * 40, i * 40 + 5)))
         assert w.pending_count <= 5
 
     def test_flowset_on_empty_window_raises(self):
-        window = ClosedWindow(WindowBounds(0, 100), records=())
+        window = ClosedWindow(WindowBounds(0, 100), batch())
         with pytest.raises(DataError):
             window.flowset(lambda k: 1.0)
 
@@ -304,7 +308,9 @@ class TestTraceReplaySource:
         routers = sorted({r.router for r in exported})
         engines = EngineMap(routers)
         packets = encode_packets(exported, engines)
-        decoded = list(V5PacketSource(packets, engines))
+        batches = list(V5PacketSource(packets, engines))
+        assert len(batches) == len(packets)  # one batch per packet
+        decoded = RecordBatch.concat(batches).to_records()
         assert len(decoded) == len(exported)
         assert {r.key for r in decoded} == {r.key for r in exported}
         assert sum(r.octets for r in decoded) == sum(r.octets for r in exported)
@@ -325,7 +331,7 @@ class TestOnlineRepricer:
 
     def test_first_window_derives_initial_design(self):
         repricer = self._repricer(n_tiers=2)
-        window = ClosedWindow(WindowBounds(0, 100), (record(key(1), 0, 10),))
+        window = ClosedWindow(WindowBounds(0, 100), batch(record(key(1), 0, 10)))
         result = repricer.price_window(window, self._flows([90, 50, 20, 8, 2]))
         assert result.status == STATUS_PRICED
         assert result.retier and result.reason == "initial design"
@@ -335,11 +341,11 @@ class TestOnlineRepricer:
     def test_stationary_window_keeps_design(self):
         repricer = self._repricer(n_tiers=2)
         flows = self._flows([90, 50, 20, 8, 2])
-        w = ClosedWindow(WindowBounds(0, 100), (record(key(1), 0, 10),))
+        w = ClosedWindow(WindowBounds(0, 100), batch(record(key(1), 0, 10)))
         repricer.price_window(w, flows)
         design = repricer.design
         result = repricer.price_window(
-            ClosedWindow(WindowBounds(100, 200), (record(key(1), 100, 110),)),
+            ClosedWindow(WindowBounds(100, 200), batch(record(key(1), 100, 110))),
             flows,
         )
         assert not result.retier
@@ -348,17 +354,17 @@ class TestOnlineRepricer:
 
     def test_uniform_growth_does_not_retier(self):
         repricer = self._repricer(n_tiers=2)
-        w = ClosedWindow(WindowBounds(0, 100), (record(key(1), 0, 10),))
+        w = ClosedWindow(WindowBounds(0, 100), batch(record(key(1), 0, 10)))
         repricer.price_window(w, self._flows([90, 50, 20, 8, 2]))
         result = repricer.price_window(
-            ClosedWindow(WindowBounds(100, 200), (record(key(1), 100, 110),)),
+            ClosedWindow(WindowBounds(100, 200), batch(record(key(1), 100, 110))),
             self._flows([90, 50, 20, 8, 2], scale=2.0),
         )
         assert not result.retier
 
     def test_degenerate_window_is_skipped_not_fatal(self):
         repricer = self._repricer()
-        window = ClosedWindow(WindowBounds(0, 100), (record(key(1), 0, 10),))
+        window = ClosedWindow(WindowBounds(0, 100), batch(record(key(1), 0, 10)))
         # A single flow cannot support a 3-tier profit-weighted design
         # calibration/bundling failure must not kill the stream.
         result = repricer.price_window(
@@ -369,7 +375,7 @@ class TestOnlineRepricer:
 
     def test_empty_window_no_retier(self):
         repricer = self._repricer()
-        result = repricer.empty_window(ClosedWindow(WindowBounds(0, 100), ()))
+        result = repricer.empty_window(ClosedWindow(WindowBounds(0, 100), batch()))
         assert result.status == STATUS_EMPTY
         assert not result.retier
         assert repricer.design is None
@@ -379,7 +385,7 @@ class TestOnlineRepricer:
         published = []
         repricer.on_design_published = published.append
         flows = self._flows([90, 50, 20, 8, 2])
-        w1 = ClosedWindow(WindowBounds(0, 100), (record(key(1), 0, 10),))
+        w1 = ClosedWindow(WindowBounds(0, 100), batch(record(key(1), 0, 10)))
         repricer.price_window(w1, flows)
         assert len(published) == 1
         pub = published[0]
@@ -392,7 +398,7 @@ class TestOnlineRepricer:
         assert pub.reference_distance_miles == pytest.approx(2500.0)
         # A stationary window keeps the design: nothing new published.
         repricer.price_window(
-            ClosedWindow(WindowBounds(100, 200), (record(key(1), 100, 110),)),
+            ClosedWindow(WindowBounds(100, 200), batch(record(key(1), 100, 110))),
             flows,
         )
         assert len(published) == 1
@@ -407,7 +413,7 @@ class TestOnlineRepricer:
 
         repricer.on_design_published = explode
         before = METRICS.counter("stream.publish_errors")
-        w = ClosedWindow(WindowBounds(0, 100), (record(key(1), 0, 10),))
+        w = ClosedWindow(WindowBounds(0, 100), batch(record(key(1), 0, 10)))
         result = repricer.price_window(w, self._flows([90, 50, 20, 8, 2]))
         assert result.status == STATUS_PRICED  # pricing itself survived
         assert repricer.design is not None
@@ -420,7 +426,7 @@ class TestOnlineRepricer:
         repricer.subscribe(first.append)
         second_sink = second.append
         assert repricer.subscribe(second_sink) is second_sink  # decorator
-        w = ClosedWindow(WindowBounds(0, 100), (record(key(1), 0, 10),))
+        w = ClosedWindow(WindowBounds(0, 100), batch(record(key(1), 0, 10)))
         repricer.price_window(w, self._flows([90, 50, 20, 8, 2]))
         assert len(hook) == len(first) == len(second) == 1
         assert hook[0] is first[0] is second[0]
@@ -437,7 +443,7 @@ class TestOnlineRepricer:
         repricer.subscribe(explode)
         repricer.subscribe(delivered.append)
         before = METRICS.counter("stream.publish_errors")
-        w = ClosedWindow(WindowBounds(0, 100), (record(key(1), 0, 10),))
+        w = ClosedWindow(WindowBounds(0, 100), batch(record(key(1), 0, 10)))
         result = repricer.price_window(w, self._flows([90, 50, 20, 8, 2]))
         assert result.status == STATUS_PRICED
         assert len(delivered) == 1  # the healthy subscriber still got it
@@ -502,6 +508,19 @@ class TestPipelineEndToEnd:
         assert report.windows_priced >= 2
         assert report.retier_events == 1  # the bootstrap design only
         assert report.results[0].retier
+        # A two-hour trace whose flows ramp in over the first windows: the
+        # bootstrap design may re-tier once more as the population
+        # completes; after that, no spurious re-tiers.
+        ramp = generate_network_trace(
+            "eu_isp", n_flows=80, seed=17, duration_seconds=7200.0
+        )
+        report = make_pipeline(
+            TraceReplaySource(ramp, export_interval_ms=60_000), ramp
+        ).run()
+        assert report.windows_priced >= 10
+        assert 1 <= report.retier_events <= 2
+        assert not any(r.retier for r in report.results[2:])
+        assert report.queue_dropped == 0
 
     def test_demand_shift_triggers_retier(self, trace):
         shifted = TraceReplaySource(
@@ -593,6 +612,75 @@ class TestStreamCLI:
         payload = json.loads(metrics.read_text())
         assert payload["counters"]["stream.windows_priced"] >= 1
         assert payload["counters"]["stream.records"] > 0
+
+
+class TestCheckpointLoad:
+    """Corrupt checkpoint files fail at load with a typed error."""
+
+    def _written(self, source, trace, tmp_path):
+        ckpt = tmp_path / "stream.ckpt.json"
+        pipeline = make_pipeline(source, trace, checkpoint_path=ckpt)
+        pipeline.run(max_windows=1)
+        return ckpt, pipeline.config_digest
+
+    def test_invalid_utf8(self, source, trace, tmp_path):
+        from repro.stream import load_checkpoint
+
+        ckpt, digest = self._written(source, trace, tmp_path)
+        ckpt.write_bytes(b"\xff\xfe" + ckpt.read_bytes())
+        with pytest.raises(DataError, match="UTF-8"):
+            load_checkpoint(ckpt, digest)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("next_start", "abc"), ("max_ts", None), ("late_dropped", 1.5), ("max_ts", True)],
+    )
+    def test_windower_cursor_must_be_integers(self, source, trace, tmp_path, field, value):
+        import json
+
+        from repro.stream import load_checkpoint
+
+        ckpt, digest = self._written(source, trace, tmp_path)
+        payload = json.loads(ckpt.read_text())
+        payload["windower"][field] = value
+        ckpt.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=field):
+            load_checkpoint(ckpt, digest)
+
+    def test_restored_run_replays_identically_mid_packet(self, tmp_path):
+        """A v5 stream stopped at a window close resumes inside the
+        packet stream and replays the same results."""
+        from repro.netflow.codec import EngineMap, encode_packets
+
+        trace = generate_network_trace(
+            "eu_isp", n_flows=30, seed=5, duration_seconds=1800.0
+        )
+        records = list(TraceReplaySource(trace, export_interval_ms=60_000))
+        engines = EngineMap(sorted({r.router for r in records}))
+        minutes: dict = {}
+        for r in records:
+            minutes.setdefault(r.last_ms // 60_000, []).append(r)
+        packets = [
+            p for m in sorted(minutes) for p in encode_packets(minutes[m], engines)
+        ]
+
+        def pipeline(ckpt=None):
+            return make_pipeline(
+                V5PacketSource(packets, engines),
+                trace,
+                checkpoint_path=ckpt,
+                window_ms=300_000,
+                queue_capacity=50,
+            )
+
+        baseline = pipeline().run()
+        ckpt = tmp_path / "v5.ckpt.json"
+        partial = pipeline(ckpt).run(max_windows=2)
+        assert len(partial.results) == 2
+        resumed = pipeline(ckpt).run()
+        assert resumed.results == baseline.results
+        assert resumed.records_consumed == baseline.records_consumed
+        assert resumed.design.rates == baseline.design.rates
 
 
 def test_window_result_round_trips_through_checkpoint():
