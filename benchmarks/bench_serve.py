@@ -1,36 +1,21 @@
-"""Serving-path bench: quote throughput baseline and batching payoff.
+"""Quote-engine bench: the batching payoff.
 
 Warms a :class:`~repro.serve.registry.SnapshotRegistry` the honest way —
 replaying a seeded trace through the streaming repricer so accepted
-re-tierings hot-swap snapshots in — then drives the quote server with the
-same seeded load generator the CLI self-test uses.  The committed JSON is
-the serving throughput trajectory: diffs show when the quote path got
-slower, started degrading, or lost its latency tail.
-
-A second bench pins down *why* the engine is batch-shaped: pricing the
-same requests through the vectorized batch path must beat the per-flow
-Python loop by an order of magnitude.
+re-tierings hot-swap snapshots in — then prices one seeded load twice:
+through the vectorized batch path and through the per-flow Python loop.
+The batch path must win by an order of magnitude; that is why the
+engine, and every shard that runs it, is batch-shaped.  Quote serving
+throughput and latency are measured end to end by ``pipebench/``.
 """
 
-import json
-import os
 import time
 
 from repro.core.ced import CEDDemand
 from repro.core.cost import LinearDistanceCost
-from repro.fleet import FleetConfig, ShardFleet
-from repro.serve import (
-    QuoteEngine,
-    QuoteServer,
-    ServeConfig,
-    SnapshotRegistry,
-    generate_requests,
-    run_load,
-)
+from repro.serve import QuoteEngine, SnapshotRegistry, generate_requests
 from repro.stream import StreamConfig, StreamingPipeline, TraceReplaySource
 from repro.synth.trace import generate_network_trace
-
-from conftest import OUTPUT_DIR
 
 P0 = 20.0
 
@@ -55,174 +40,6 @@ def warm_registry(n_flows=80, seed=17, duration_s=7200.0):
     )
     pipeline.run()
     return registry, QuoteEngine(registry, cost_model, fallback_blended_rate=P0)
-
-
-def serve_study(n_requests=5000):
-    registry, engine = warm_registry()
-    snapshot = registry.current()
-    requests = generate_requests(
-        n_requests, seed=23, snapshot=snapshot, unknown_fraction=0.2
-    )
-    with QuoteServer(
-        engine, ServeConfig(workers=2, queue_depth=512, timeout_ms=5000.0)
-    ) as server:
-        report = run_load(server, requests)
-        stats = server.stats()
-    return report, stats, registry
-
-
-def test_serve_throughput(run_once, save_output):
-    report, stats, registry = run_once(serve_study)
-    save_output("serve_throughput", report.render())
-    baseline = {
-        "n_requests": report.n_requests,
-        "answered": report.answered,
-        "priced": report.priced,
-        "degraded": report.degraded,
-        "timed_out": report.timed_out,
-        "shed": report.shed,
-        "snapshot_swaps": registry.swaps,
-        "quotes_per_second": round(report.quotes_per_second, -2),
-        "request_p99_ms": round(report.latency_ms.get("p99", 0.0), 1),
-    }
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    (OUTPUT_DIR / "serve_throughput.baseline.json").write_text(
-        json.dumps(baseline, indent=2, sort_keys=True) + "\n"
-    )
-    # The stream must have published something to serve from, and the
-    # whole load must come back priced: no degradation, no timeouts, no
-    # shedding at this queue depth.
-    assert registry.swaps >= 1
-    assert report.answered == report.n_requests
-    assert report.degraded == 0 and report.timed_out == 0 and report.shed == 0
-    assert stats["served"] == report.n_requests
-    assert report.quotes_per_second > 1000
-
-
-def _quantile_ms(latencies, q):
-    if not latencies:
-        return 0.0
-    ordered = sorted(latencies)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-
-def fleet_study(n_requests=8000, burst=800):
-    """Single-process server baseline vs the sharded fleet, same load.
-
-    The fleet is driven through the coordinator's ``quote_batch`` (the
-    front door's unit of work) in sustained bursts, with a live snapshot
-    cutover landing mid-load at every shard count — the bench asserts the
-    cutover leaked zero stale-version quotes.
-    """
-    registry, engine = warm_registry()
-    snapshot = registry.current()
-    requests = generate_requests(
-        n_requests, seed=31, snapshot=snapshot, unknown_fraction=0.2
-    )
-    with QuoteServer(
-        engine, ServeConfig(workers=2, queue_depth=4096, timeout_ms=10_000.0)
-    ) as server:
-        base = run_load(server, requests, burst=512)
-    bursts = [
-        requests[at : at + burst] for at in range(0, len(requests), burst)
-    ]
-    cutover_at = len(bursts) // 2
-    by_shards = {}
-    for n_shards in sorted({1, 2, os.cpu_count() or 1}):
-        fleet = ShardFleet(
-            engine.cost_model,
-            FleetConfig(shards=n_shards, timeout_ms=30_000.0),
-            fallback_blended_rate=P0,
-        )
-        with fleet:
-            fleet.publish(snapshot)
-            fleet.quote_batch(bursts[0])  # warm the pipes before timing
-            latencies = []
-            answered = degraded = stale = 0
-            start = time.perf_counter()
-            for i, chunk in enumerate(bursts):
-                if i == cutover_at:
-                    fleet.publish(snapshot)  # live mid-load cutover
-                sent = time.perf_counter()
-                quotes = fleet.quote_batch(chunk)
-                latencies.append(
-                    (time.perf_counter() - sent) * 1000.0 / len(chunk)
-                )
-                answered += len(quotes)
-                degraded += sum(q.degraded for q in quotes)
-                if i >= cutover_at:
-                    stale += sum(
-                        q.snapshot_version != fleet.version for q in quotes
-                    )
-            wall = time.perf_counter() - start
-        by_shards[n_shards] = {
-            "answered": answered,
-            "degraded": degraded,
-            "stale_after_cutover": stale,
-            "quotes_per_second": answered / wall,
-            "p99_ms": _quantile_ms(latencies, 0.99),
-        }
-    return base, by_shards
-
-
-def test_fleet_beats_single_process_server(run_once, save_output):
-    base, by_shards = run_once(fleet_study)
-    best_shards = max(
-        by_shards, key=lambda n: by_shards[n]["quotes_per_second"]
-    )
-    best = by_shards[best_shards]
-    lines = [
-        f"single-process QuoteServer: {base.quotes_per_second:,.0f} quotes/s "
-        f"(p99 {base.latency_ms.get('p99', 0.0):.2f} ms)"
-    ]
-    for n_shards, row in sorted(by_shards.items()):
-        lines.append(
-            f"fleet x{n_shards}: {row['quotes_per_second']:,.0f} quotes/s "
-            f"(p99 {row['p99_ms']:.3f} ms/quote, "
-            f"{row['degraded']} degraded, "
-            f"{row['stale_after_cutover']} stale after cutover)"
-        )
-    lines.append(
-        f"best: x{best_shards} at "
-        f"{best['quotes_per_second'] / base.quotes_per_second:.1f}x the "
-        "single-process baseline"
-    )
-    save_output("fleet_throughput", "\n".join(lines))
-    baseline = {
-        "cpu_count": os.cpu_count(),
-        "single_process": {
-            "quotes_per_second": round(base.quotes_per_second, -2),
-            "p99_ms": round(base.latency_ms.get("p99", 0.0), 1),
-        },
-        "fleet": {
-            str(n): {
-                "quotes_per_second": round(row["quotes_per_second"], -3),
-                "p99_ms": round(row["p99_ms"], 3),
-                "stale_after_cutover": row["stale_after_cutover"],
-                "degraded": row["degraded"],
-            }
-            for n, row in sorted(by_shards.items())
-        },
-        "best_speedup_vs_single": round(
-            best["quotes_per_second"] / base.quotes_per_second, 1
-        ),
-    }
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    (OUTPUT_DIR / "fleet_throughput.baseline.json").write_text(
-        json.dumps(baseline, indent=2, sort_keys=True) + "\n"
-    )
-    for row in by_shards.values():
-        # Sustained load across a live cutover: every answer priced, and
-        # not one of them from the superseded design.
-        assert row["degraded"] == 0
-        assert row["stale_after_cutover"] == 0
-    # Sharding must pay: more shards beat the single-process server, and
-    # the best fleet clears it by at least 2x.
-    assert (
-        by_shards[max(by_shards)]["quotes_per_second"]
-        > base.quotes_per_second
-    )
-    assert best["quotes_per_second"] >= 2.0 * base.quotes_per_second
 
 
 def batching_payoff(n_requests=2000):

@@ -32,11 +32,11 @@ Subpackages:
   and figure.
 * :mod:`repro.obs` — tracing (spans across processes and threads) and
   the process-global metrics registry.
-* :mod:`repro.fleet` — sharded multi-process quote serving over
-  shared-memory snapshot segments, with an asyncio socket front door.
+* :mod:`repro.fleet` — quote serving: sharded processes over
+  shared-memory snapshot segments, behind an asyncio socket front door.
 * :mod:`repro.config` — typed configuration objects
   (:class:`RuntimeConfig`, :class:`ExecutorConfig`,
-  :class:`StreamConfig`, :class:`ServeConfig`, :class:`FleetConfig`,
+  :class:`StreamConfig`, :class:`FleetConfig`,
   :class:`EcosystemConfig`, :class:`ObsConfig`) with one explicit >
   CLI > env > default precedence chain.
 * :mod:`repro.ecosystem` — AS-level internet ecosystem generation:
@@ -89,7 +89,6 @@ from repro.config import (
     MechanismConfig,
     ObsConfig,
     RuntimeConfig,
-    ServeConfig,
     StreamConfig,
 )
 from repro.errors import (
@@ -102,7 +101,6 @@ from repro.errors import (
     MechanismError,
     ModelParameterError,
     OptimizationError,
-    QuoteTimeoutError,
     ReproError,
     SnapshotUnavailableError,
     TopologyError,
@@ -191,11 +189,9 @@ __all__ = [
     "PaidPeering",
     "PostedTiers",
     "ProfitWeightedBundling",
-    "QuoteTimeoutError",
     "RegionalCost",
     "ReproError",
     "RuntimeConfig",
-    "ServeConfig",
     "SnapshotUnavailableError",
     "Span",
     "SpotAuction",

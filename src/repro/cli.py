@@ -11,14 +11,11 @@ Commands:
 * ``stream`` — replay a synthetic trace through the streaming repricing
   pipeline (windowed ingest, incremental calibration, drift-triggered
   re-tiering) and print the window-by-window report.
-* ``serve`` — stand up the online quote service: run a short replayed
-  stream that publishes tier designs into the snapshot registry, then
-  serve a seeded self-test load through the thread-pool quote server and
-  report quotes/sec plus the latency tail.
-* ``fleet`` — the multi-process version of ``serve``: shard workers over
-  shared-memory snapshot segments behind an asyncio socket front door,
-  self-tested over a real socket with a live snapshot cutover halfway
-  through the load.
+* ``fleet`` — stand up the quote fleet: run a short replayed stream
+  that publishes tier designs (under ``--mechanism``) into shard workers
+  over shared-memory snapshot segments, then serve a seeded self-test
+  load through the asyncio socket front door, with a live snapshot
+  cutover halfway through, and report quotes/sec plus the latency tail.
 * ``ecosystem`` — generate a seeded AS-level internet ecosystem (tiered
   AS hierarchy, IXP peering, valley-free routing, per-AS NetFlow) and
   optionally self-test it end to end.
@@ -52,7 +49,6 @@ import argparse
 import dataclasses
 import sys
 import time
-import warnings
 from collections.abc import Sequence
 
 from repro import obs
@@ -63,7 +59,6 @@ from repro.config import (
     MechanismConfig,
     ObsConfig,
     RuntimeConfig,
-    ServeConfig,
     StreamConfig,
 )
 from repro.core.bundling import strategy_by_name
@@ -221,14 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         "figure", help="regenerate one figure", parents=[runtime]
     )
     fig.add_argument("number", type=int, choices=sorted(_FIGURES))
-    fig.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        dest="workers_alias",
-        metavar="N",
-        help="deprecated alias for --jobs",
-    )
 
     sub.add_parser(
         "datasets", help="list synthetic datasets", parents=[runtime]
@@ -342,83 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--shift-fraction", type=float, default=0.5)
     _add_mechanism_flag(stream)
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the online quote service and a built-in self-test load",
-        parents=[runtime],
-    )
-    serve.add_argument(
-        "dataset",
-        choices=DATASET_NAMES,
-        help="which network's trace warms up the snapshot registry",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="quote-server worker threads (default $REPRO_SERVE_WORKERS, else 2)",
-    )
-    serve.add_argument(
-        "--queue-depth",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "admission-queue capacity; full queues shed the oldest "
-            "request (default 256)"
-        ),
-    )
-    serve.add_argument(
-        "--timeout-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="per-request deadline (default 1000 ms)",
-    )
-    serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="largest request batch one worker prices at once (default 64)",
-    )
-    serve.add_argument(
-        "--selftest",
-        type=int,
-        default=2000,
-        metavar="N",
-        help="self-test load size in requests (default 2000)",
-    )
-    serve.add_argument(
-        "--unknown-fraction",
-        type=float,
-        default=0.2,
-        metavar="F",
-        help="fraction of load aimed at destinations outside the design",
-    )
-    serve.add_argument(
-        "--tiers", type=int, default=3, help="tier budget for published designs"
-    )
-    serve.add_argument(
-        "--demand", choices=("ced", "logit"), default="ced"
-    )
-    serve.add_argument(
-        "--window",
-        type=float,
-        default=600.0,
-        metavar="SECONDS",
-        help="warm-up stream window length (default 600)",
-    )
-    serve.add_argument(
-        "--duration",
-        type=float,
-        default=1800.0,
-        metavar="SECONDS",
-        help="warm-up stream capture length (default 1800)",
-    )
-    _add_mechanism_flag(serve)
-
     fleet = sub.add_parser(
         "fleet",
         help=(
@@ -507,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="warm-up stream capture length (default 1800)",
     )
+    _add_mechanism_flag(fleet)
 
     ecosystem = sub.add_parser(
         "ecosystem",
@@ -818,89 +729,6 @@ def cmd_stream(args: argparse.Namespace) -> str:
     return report.render()
 
 
-def cmd_serve(args: argparse.Namespace) -> str:
-    import json
-
-    from repro.core.ced import CEDDemand
-    from repro.core.cost import LinearDistanceCost
-    from repro.core.logit import LogitDemand
-    from repro.serve import (
-        QuoteEngine,
-        QuoteServer,
-        SnapshotRegistry,
-        generate_requests,
-        run_load,
-    )
-    from repro.stream import StreamingPipeline, TraceReplaySource
-    from repro.synth.trace import generate_network_trace
-
-    # 1. Warm the registry with genuinely streamed designs: replay a short
-    #    trace and let every accepted re-tiering hot-swap a snapshot in.
-    trace = generate_network_trace(
-        args.dataset,
-        n_flows=args.flows,
-        seed=args.seed,
-        duration_seconds=args.duration,
-    )
-    source = TraceReplaySource(trace, export_interval_ms=60_000)
-    if args.demand == "ced":
-        demand = CEDDemand(alpha=DEFAULT_CONFIG.alpha)
-    else:
-        demand = LogitDemand(alpha=DEFAULT_CONFIG.alpha, s0=DEFAULT_CONFIG.s0)
-    cost_model = LinearDistanceCost(theta=DEFAULT_CONFIG.theta)
-    config = StreamConfig.resolve(
-        window_ms=int(args.window * 1000),
-        n_tiers=args.tiers,
-        blended_rate=DEFAULT_CONFIG.blended_rate,
-    )
-    mech_cfg = MechanismConfig.resolve(cli=args)
-    registry = SnapshotRegistry()
-    pipeline = StreamingPipeline(
-        source,
-        distance_fn=trace.distance_for,
-        demand_model=demand,
-        cost_model=cost_model,
-        config=config,
-        mechanism=(
-            None if mech_cfg.is_default else mech_cfg.build(n_tiers=args.tiers)
-        ),
-    )
-    pipeline.repricer.on_design_published = registry.subscriber(
-        pipeline.config_digest
-    )
-    stream_report = pipeline.run()
-    snapshot = registry.current()
-
-    # 2. Serve the self-test load against whatever the stream published.
-    engine = QuoteEngine(
-        registry, cost_model, fallback_blended_rate=DEFAULT_CONFIG.blended_rate
-    )
-    requests = generate_requests(
-        args.selftest,
-        seed=args.seed,
-        snapshot=snapshot,
-        unknown_fraction=args.unknown_fraction,
-    )
-    serve_config = ServeConfig.resolve(cli=args)
-    with QuoteServer(engine, serve_config) as server:
-        load = run_load(server, requests)
-        stats = server.stats()
-    lines = [
-        f"stream warm-up: {len(stream_report.results)} windows, "
-        f"{stream_report.windows_priced} priced, "
-        f"{stream_report.retier_events} re-tier events, "
-        f"{registry.swaps} snapshot swaps",
-        (
-            "active snapshot: none (degraded serving)"
-            if snapshot is None
-            else f"active {snapshot.describe()}"
-        ),
-        load.render(),
-        "server: " + json.dumps(stats, sort_keys=True),
-    ]
-    return "\n".join(lines)
-
-
 def cmd_fleet(args: argparse.Namespace) -> str:
     import asyncio
     import json
@@ -914,10 +742,10 @@ def cmd_fleet(args: argparse.Namespace) -> str:
     from repro.stream import StreamingPipeline, TraceReplaySource
     from repro.synth.trace import generate_network_trace
 
-    # 1. Warm up exactly like `serve`: replay a short trace; every accepted
-    #    re-tiering publishes into a plain registry (for the load
-    #    generator's known destinations) *and* into the fleet (segment
-    #    versions; the workers attach the last one on spawn).
+    # 1. Warm up with genuinely streamed designs: replay a short trace;
+    #    every accepted re-tiering publishes into a plain registry (for
+    #    the load generator's known destinations) *and* into the fleet
+    #    (segment versions; the workers attach the last one on spawn).
     trace = generate_network_trace(
         args.dataset,
         n_flows=args.flows,
@@ -936,6 +764,7 @@ def cmd_fleet(args: argparse.Namespace) -> str:
         blended_rate=DEFAULT_CONFIG.blended_rate,
     )
     fleet_config = FleetConfig.resolve(cli=args)
+    mech_cfg = MechanismConfig.resolve(cli=args)
     registry = SnapshotRegistry()
     fleet = ShardFleet(
         cost_model,
@@ -948,6 +777,9 @@ def cmd_fleet(args: argparse.Namespace) -> str:
         demand_model=demand,
         cost_model=cost_model,
         config=stream_config,
+        mechanism=(
+            None if mech_cfg.is_default else mech_cfg.build(n_tiers=args.tiers)
+        ),
     )
     pipeline.repricer.on_design_published = registry.subscriber(
         pipeline.config_digest
@@ -1399,7 +1231,6 @@ _COMMANDS = {
     "datasets": cmd_datasets,
     "design": cmd_design,
     "stream": cmd_stream,
-    "serve": cmd_serve,
     "fleet": cmd_fleet,
     "ecosystem": cmd_ecosystem,
     "mechanisms": cmd_mechanisms,
@@ -1410,33 +1241,6 @@ _COMMANDS = {
     "trace": cmd_trace,
     "workers": cmd_workers,
 }
-
-
-def _apply_flag_aliases(args: argparse.Namespace) -> None:
-    """Honor the historical jobs/workers cross-spellings, with a warning.
-
-    ``figure --workers`` predates the jobs/workers naming split and means
-    process fan-out (``--jobs``); ``serve --jobs`` (inherited from the
-    shared runtime flags) likewise gets read as the serving thread count.
-    Canonical spellings win when both are given.
-    """
-    workers_alias = getattr(args, "workers_alias", None)
-    if workers_alias is not None:
-        warnings.warn(
-            "repro figure --workers is a deprecated alias; use --jobs",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if args.jobs is None:
-            args.jobs = workers_alias
-    if args.command == "serve" and getattr(args, "jobs", None) is not None:
-        warnings.warn(
-            "repro serve --jobs is a deprecated alias; use --workers",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if args.workers is None:
-            args.workers = args.jobs
 
 
 def _emit_metrics(
@@ -1465,7 +1269,6 @@ def _emit_metrics(
 
 def main(argv: "Sequence[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_flag_aliases(args)
     cache_was_enabled = runtime_cache.cache_enabled()
     if getattr(args, "no_cache", False):
         # Disable all cache layers (results, markets, datasets), not just

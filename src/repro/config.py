@@ -2,8 +2,8 @@
 
 Before this module, each subsystem grew its own configuration dialect —
 ``--jobs``/``REPRO_JOBS`` for the experiment runtime, a kwarg soup for
-the stream pipeline, ``--workers/--queue-depth/--timeout-ms`` for the
-quote server.  Everything now resolves through frozen dataclasses:
+the stream pipeline.  Everything now resolves through frozen
+dataclasses:
 
 * :class:`RuntimeConfig` — experiment fan-out and caching
   (``jobs``/``cache``/``cache_dir``/``metrics``);
@@ -12,9 +12,7 @@ quote server.  Everything now resolves through frozen dataclasses:
   ``lease_timeout_ms``/``max_retries``/``spawn``);
 * :class:`StreamConfig` — the streaming repricing knobs (windows, queue,
   drift gate), also re-exported from :mod:`repro.stream`;
-* :class:`ServeConfig` — the quote server (``workers``/``queue_depth``/
-  ``timeout_ms``/``max_batch``);
-* :class:`FleetConfig` — the sharded multi-process quote fleet
+* :class:`FleetConfig` — the quote fleet, the one quote server
   (``shards``/``host``/``port``/``queue_depth``/``max_batch``/
   ``timeout_ms``/``heartbeat_ms``);
 * :class:`EcosystemConfig` — generated AS-level worlds
@@ -35,11 +33,9 @@ chain, highest first:
 
 Malformed environment values raise
 :class:`~repro.errors.ConfigurationError` naming the variable, never a
-bare ``ValueError``.  Naming is canonical here: ``RuntimeConfig.jobs``
-is the fan-out width and ``ServeConfig.workers`` is the serving thread
-count — the CLI accepts the historical cross-spellings
-(``repro serve --jobs``, ``repro figure --workers``) as deprecated
-aliases only.
+bare ``ValueError``.  Naming is canonical here: ``jobs`` is the
+process fan-out width of the experiment runtime and ``shards`` the
+width of the quote fleet.
 """
 
 from __future__ import annotations
@@ -388,55 +384,6 @@ class StreamConfig(_Resolvable):
 
 
 # ----------------------------------------------------------------------
-# Serve (the quote server)
-# ----------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class ServeConfig(_Resolvable):
-    """The quote server's operational envelope.
-
-    Attributes:
-        workers: Worker threads pricing batches (canonical name; the
-            historical ``repro serve --jobs`` spelling is a deprecated
-            alias).  Env: ``REPRO_SERVE_WORKERS``.
-        queue_depth: Admission-queue capacity; full queues shed the
-            oldest request.  Env: ``REPRO_SERVE_QUEUE_DEPTH``.
-        timeout_ms: Default per-request deadline.  Env:
-            ``REPRO_SERVE_TIMEOUT_MS``.
-        max_batch: Largest request batch one worker prices at once.
-            Env: ``REPRO_SERVE_MAX_BATCH``.
-    """
-
-    workers: int = cfg_field(2, env="REPRO_SERVE_WORKERS", parse=_env_int)
-    queue_depth: int = cfg_field(
-        256, env="REPRO_SERVE_QUEUE_DEPTH", parse=_env_int
-    )
-    timeout_ms: float = cfg_field(
-        1000.0, env="REPRO_SERVE_TIMEOUT_MS", parse=_env_float
-    )
-    max_batch: int = cfg_field(64, env="REPRO_SERVE_MAX_BATCH", parse=_env_int)
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}"
-            )
-        if self.queue_depth < 1:
-            raise ConfigurationError(
-                f"queue_depth must be >= 1, got {self.queue_depth}"
-            )
-        if self.timeout_ms <= 0:
-            raise ConfigurationError(
-                f"timeout_ms must be positive, got {self.timeout_ms}"
-            )
-        if self.max_batch < 1:
-            raise ConfigurationError(
-                f"max_batch must be >= 1, got {self.max_batch}"
-            )
-
-
-# ----------------------------------------------------------------------
 # Fleet (sharded multi-process quote serving)
 # ----------------------------------------------------------------------
 
@@ -693,7 +640,6 @@ __all__ = [
     "MechanismConfig",
     "ObsConfig",
     "RuntimeConfig",
-    "ServeConfig",
     "StreamConfig",
     "cfg_field",
 ]

@@ -80,15 +80,6 @@ class SnapshotUnavailableError(ReproError, RuntimeError):
     """
 
 
-class QuoteTimeoutError(ReproError, TimeoutError):
-    """A quote request missed its deadline.
-
-    Raised to the submitting caller when the quote server could not answer
-    within the request's timeout — either the response never arrived, or
-    the request expired in the admission queue before a worker reached it.
-    """
-
-
 class ExecutorError(ReproError, RuntimeError):
     """A sweep executor failed to run its work units.
 
@@ -119,7 +110,8 @@ class MechanismError(ReproError, ValueError):
 
 #: Exception class -> CLI exit code, one distinct nonzero code per
 #: :class:`ReproError` subclass (the base class itself backstops at 10).
-#: Codes are part of the CLI contract — append, never renumber.
+#: Codes are part of the CLI contract — append, never renumber.  Code 20
+#: is retired (it was the removed quote-deadline error) and stays unused.
 EXIT_CODES = {
     ReproError: 10,
     ModelParameterError: 11,
@@ -131,7 +123,6 @@ EXIT_CODES = {
     TopologyError: 17,
     AccountingError: 18,
     SnapshotUnavailableError: 19,
-    QuoteTimeoutError: 20,
     ExecutorError: 21,
     WorkerLostError: 22,
     MechanismError: 23,

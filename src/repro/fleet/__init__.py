@@ -1,8 +1,10 @@
-"""Sharded multi-process quote serving over shared-memory snapshots.
+"""Quote serving: sharded processes over shared-memory snapshots.
 
-The thread-pool :class:`~repro.serve.server.QuoteServer` tops out at
-roughly one core of pricing work — the GIL serializes the numpy-adjacent
-Python around every batch.  This package is the process-topology answer:
+The fleet is the one quote server.  Every quote a caller asks for comes
+in through the front door and is priced by a shard process running
+:class:`~repro.serve.engine.QuoteEngine`; pricing in process, without a
+server, is ``QuoteEngine.quote_batch`` over a
+:class:`~repro.serve.registry.SnapshotRegistry`.  The parts:
 
 * :mod:`~repro.fleet.shm` — :class:`SharedSnapshot` freezes a
   :class:`~repro.serve.snapshot.PricingSnapshot` into a versioned,
@@ -17,9 +19,9 @@ Python around every batch.  This package is the process-topology answer:
   unlinked only after every reader detached).
 * :mod:`~repro.fleet.frontdoor` — :class:`FrontDoor`: an asyncio socket
   front-end (length-prefixed JSON frames) that batches requests per
-  shard behind bounded admission queues (drop-oldest shedding), plus
-  :class:`FleetClient` and the socket load generator behind
-  ``python -m repro fleet --selftest``.
+  shard behind bounded admission queues (drop-oldest shedding, degraded
+  blended-rate answers), plus :class:`FleetClient` and the socket load
+  generator behind ``python -m repro fleet --selftest``.
 
 Wiring a live stream to a fleet is one line, same shape as the
 registry::

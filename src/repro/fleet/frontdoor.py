@@ -16,20 +16,21 @@ Malformed frames get an ``{"id": ..., "error": ...}`` reply; a frame
 too large to be honest closes the connection.
 
 Inside, the front door is a per-shard fan-in: each parsed request is
-routed by destination hash onto its shard's bounded admission queue
-(the streaming layer's :class:`~repro.stream.queue.BoundedQueue` under
-``drop-oldest`` — a full queue sheds the *oldest* waiting request,
-which resolves immediately as a degraded quote, counted in
-``fleet.shed``).  One dispatcher task per shard gulps up to
-``max_batch`` requests and round-trips them to its worker via
-:meth:`~repro.fleet.shard.ShardFleet.quote_shard` on an executor
-thread, so the event loop never blocks on a pipe and distinct shards
-price concurrently.
+routed by destination hash onto its shard's admission queue, a deque
+holding at most ``queue_depth`` requests.  A full queue sheds the
+*oldest* waiting request, which resolves immediately as a degraded
+blended-rate quote, counted in ``fleet.shed``.  One dispatcher task per
+shard gulps up to ``max_batch`` requests and round-trips them to its
+worker via :meth:`~repro.fleet.shard.ShardFleet.quote_shard` on an
+executor thread, so the event loop never blocks on a pipe and distinct
+shards price concurrently.  Admission, shedding and every degraded
+answer of the serving path live in this module.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import dataclasses
 import json
 import struct
@@ -43,7 +44,6 @@ from repro.errors import DataError, ReproError
 from repro.obs import METRICS
 from repro.serve.engine import Quote, QuoteRequest
 from repro.fleet.shard import ShardFleet, shard_of
-from repro.stream.queue import BoundedQueue
 
 _FRAME_LEN = struct.Struct(">I")
 #: Largest accepted frame (requests and replies), in bytes.
@@ -124,7 +124,7 @@ class FrontDoor:
         self.port: "Optional[int]" = None  # bound port, known after start
         self._server: "Optional[asyncio.base_events.Server]" = None
         self._pool: "Optional[ThreadPoolExecutor]" = None
-        self._queues: "list[BoundedQueue]" = []
+        self._queues: "list[collections.deque[_PendingItem]]" = []
         self._wakeups: "list[asyncio.Event]" = []
         self._dispatchers: "list[asyncio.Task]" = []
         self.shed = 0
@@ -138,13 +138,8 @@ class FrontDoor:
         self._pool = ThreadPoolExecutor(
             max_workers=n, thread_name_prefix="fleet-dispatch"
         )
-        self._queues = []
-        self._wakeups = []
-        for sid in range(n):
-            queue = BoundedQueue(self.config.queue_depth, policy="drop-oldest")
-            queue.on_evict = self._shed
-            self._queues.append(queue)
-            self._wakeups.append(asyncio.Event())
+        self._queues = [collections.deque() for _ in range(n)]
+        self._wakeups = [asyncio.Event() for _ in range(n)]
         self._dispatchers = [
             asyncio.create_task(
                 self._dispatch_loop(sid), name=f"fleet-dispatch-{sid}"
@@ -158,12 +153,13 @@ class FrontDoor:
         return self
 
     async def stop(self) -> None:
-        """Close the listener, then drain dispatchers (queued requests
-        resolve degraded — the fleet behind may already be stopping)."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Close the listener, then stop the dispatchers: requests queued
+        or mid round trip resolve degraded (``"front door stopped"`` —
+        the fleet behind may already be stopping).  Open connections are
+        waited for last, so their pending replies still go out."""
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         for task in self._dispatchers:
             task.cancel()
         for task in self._dispatchers:
@@ -173,7 +169,8 @@ class FrontDoor:
                 pass
         self._dispatchers = []
         for queue in self._queues:
-            for item in queue.drain():
+            while queue:
+                item = queue.popleft()
                 item.resolve(
                     self.fleet._degraded_batch(
                         [item.request], "front door stopped"
@@ -182,6 +179,8 @@ class FrontDoor:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        if server is not None:
+            await server.wait_closed()
 
     async def __aenter__(self) -> "FrontDoor":
         return await self.start()
@@ -278,7 +277,10 @@ class FrontDoor:
             futures.append(future)
             sid = shard_of(request.dst, self.fleet.n_shards)
             METRICS.incr("fleet.requests")
-            self._queues[sid].offer(_PendingItem(request, future))
+            queue = self._queues[sid]
+            if len(queue) >= self.config.queue_depth:
+                self._shed(queue.popleft())
+            queue.append(_PendingItem(request, future))
             self._wakeups[sid].set()
         quotes = await asyncio.gather(*futures) if futures else []
         it = iter(quotes)
@@ -294,7 +296,7 @@ class FrontDoor:
     def _shed(self, item: _PendingItem) -> None:
         """Admission-queue eviction: the shed request still gets an answer.
 
-        Runs on the event-loop thread (offers only happen there), so
+        Runs on the event-loop thread (admission only happens there), so
         resolving the future directly is safe.
         """
         self.shed += 1
@@ -313,10 +315,11 @@ class FrontDoor:
         while True:
             await wakeup.wait()
             wakeup.clear()
-            while len(queue):
-                batch = self._take_batch(queue)
-                if not batch:
-                    break
+            while queue:
+                batch = [
+                    queue.popleft()
+                    for _ in range(min(len(queue), self.config.max_batch))
+                ]
                 try:
                     quotes = await loop.run_in_executor(
                         self._pool,
@@ -337,18 +340,6 @@ class FrontDoor:
                 for item, quote in zip(batch, quotes):
                     item.resolve(quote)
 
-    def _take_batch(self, queue: BoundedQueue) -> "list[_PendingItem]":
-        """Up to ``max_batch`` waiting items; overflow is re-offered.
-
-        Single-consumer per queue, so re-offering preserves FIFO order
-        (and can never overflow: the drain freed the capacity).
-        """
-        drained = queue.drain()
-        batch = drained[: self.config.max_batch]
-        for leftover in drained[self.config.max_batch :]:
-            queue.offer(leftover)
-        return batch
-
 
 # ----------------------------------------------------------------------
 # Client
@@ -357,7 +348,13 @@ class FrontDoor:
 
 @dataclasses.dataclass(frozen=True)
 class FleetLoadReport:
-    """What one socket load run did (the fleet twin of ``LoadReport``)."""
+    """What one socket load run did.
+
+    ``answered`` counts every quote that came back, priced or degraded;
+    latency quantiles are per-quote milliseconds (a frame's round trip
+    split over its quotes); ``versions`` lists the snapshot versions
+    that priced them.
+    """
 
     n_requests: int
     answered: int
@@ -367,7 +364,6 @@ class FleetLoadReport:
     wall_time_s: float
     latency_ms: dict
     versions: tuple
-    stale: int = 0
 
     @property
     def quotes_per_second(self) -> float:
@@ -550,5 +546,4 @@ async def run_socket_load(
             "p99": _quantile(0.99),
         },
         versions=tuple(sorted(v for v in versions if v is not None)),
-        stale=0,
     )

@@ -22,12 +22,11 @@ snapshot with the active tracer's per-stage span rollup — the payload
 the CLI's ``--metrics`` flag writes.
 
 Propagation contract: :func:`current_context` hands out a picklable
-parent handle; workers (processes via
-:mod:`repro.runtime.parallel`, threads via
-:class:`repro.serve.server.QuoteServer`) run under
-:func:`activate`/:func:`capture` and their spans are re-parented on
-collection with :func:`adopt_spans`, so one ``--trace`` file tells the
-whole fan-out story with zero orphan spans.
+parent handle; worker processes (pool and socket workers, via
+:mod:`repro.runtime.executor`) run under :func:`activate`/:func:`capture`
+and their spans are re-parented on collection with :func:`adopt_spans`,
+so one ``--trace`` file tells the whole fan-out story with zero orphan
+spans.
 """
 
 from __future__ import annotations

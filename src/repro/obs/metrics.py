@@ -20,7 +20,7 @@ nanoseconds, not milliseconds.  Reservoirs keep the most recent
 :data:`RESERVOIR_CAPACITY` samples per series, enough to export stable
 p50/p95/p99 tails for the serving and streaming stages without unbounded
 memory.  Worker processes report
-their own deltas back to the parent (see :mod:`repro.runtime.parallel`),
+their own deltas back to the parent (see :mod:`repro.runtime.executor`),
 which merges them with :meth:`Metrics.merge`, so a parallel run's JSON
 accounts for work done everywhere.
 """

@@ -8,9 +8,8 @@ are immune to wall-clock steps; the wall-clock start is recorded too so
 spans from different processes can be ordered on a shared timeline.
 
 :class:`TraceContext` is the picklable handle that carries "who is my
-parent" across process and thread boundaries: the experiment runtime
-serializes it into work units shipped to pool workers, and the quote
-server captures it at startup for its worker threads.
+parent" across process boundaries: the experiment runtime serializes it
+into work units shipped to pool and socket workers.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ class Span:
     """One named, timed unit of work in a trace tree.
 
     Attributes:
-        name: The stage name (``stream.window``, ``serve.batch``, ...);
+        name: The stage name (``stream.window``, ``fleet.cutover``, ...);
             the summarize rollup groups by it.
         trace_id: The trace this span belongs to.
         span_id: This span's unique id.

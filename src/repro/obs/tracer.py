@@ -19,7 +19,7 @@ is what the instrumented subsystems call.
 
 Cross-process collection: pool workers trace into a fresh buffering
 :class:`Tracer` (see :func:`capture` and
-:mod:`repro.runtime.parallel`), ship finished spans back as dicts with
+:mod:`repro.runtime.executor`), ship finished spans back as dicts with
 the result, and the parent re-parents any orphans onto the submitting
 span with :meth:`Tracer.adopt` — so one trace file tells the whole
 fan-out story with no cross-process file contention.

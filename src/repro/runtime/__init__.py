@@ -9,8 +9,8 @@ three pillars:
 * :mod:`repro.runtime.executor` — the pluggable :class:`Executor`
   protocol (``submit(specs) -> (digest, result) as they complete``) and
   its three backends: :class:`SerialExecutor` (inline),
-  :class:`PoolExecutor` (the process pool from
-  :mod:`repro.runtime.parallel`, ``--jobs`` / ``REPRO_JOBS``), and
+  :class:`PoolExecutor` (the process pool and the one ordered map,
+  ``--jobs`` / ``REPRO_JOBS``), and
   :class:`SocketExecutor` (work-stealing coordinator + socket workers,
   ``repro workers --connect``).  Build them with :func:`get_executor`.
 * :mod:`repro.runtime.cache` — content-addressed memoization of datasets,
@@ -41,7 +41,6 @@ _EXPORTS = {
     "collect": "repro.obs.metrics",
     "RuntimeConfig": "repro.config",
     "ExecutorConfig": "repro.config",
-    "JOBS_ENV": "repro.runtime.parallel",
     "Executor": "repro.runtime.executor",
     "SerialExecutor": "repro.runtime.executor",
     "PoolExecutor": "repro.runtime.executor",
@@ -76,7 +75,6 @@ __all__ = [
     "Executor",
     "ExecutorConfig",
     "ExperimentSpec",
-    "JOBS_ENV",
     "METRICS",
     "Metrics",
     "PoolExecutor",

@@ -13,15 +13,16 @@ protocol:
 * :attr:`Executor.max_inflight` — how many specs the backend usefully
   keeps in flight (a capability hint, e.g. for batching drivers);
 * :meth:`Executor.map` — the generic ordered fan-out the ablation
-  drivers use for non-spec callables;
+  drivers use for non-spec callables (every backend runs it through
+  :meth:`PoolExecutor.map`, the one ordered map);
 * :meth:`Executor.close` — release workers/sockets (executors are
   context managers).
 
 Three conforming backends ship:
 
 * :class:`SerialExecutor` — inline, single-process;
-* :class:`PoolExecutor` — the process pool that used to be spelled
-  ``ParallelMap(...)``, byte-identical output preserved;
+* :class:`PoolExecutor` — the single-machine process pool, byte-identical
+  to serial at any width;
 * :class:`SocketExecutor` — a work-stealing coordinator serving specs
   over length-prefixed JSON frames (the :mod:`repro.fleet.frontdoor`
   wire idiom) to worker processes that pull, execute, and stream results
@@ -46,6 +47,7 @@ Construction goes through :func:`get_executor` +
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import itertools
 import json
@@ -63,8 +65,7 @@ from typing import Any, Optional
 from repro import obs
 from repro.config import ExecutorConfig
 from repro.errors import DataError, ExecutorError, WorkerLostError
-from repro.obs import METRICS
-from repro.runtime.parallel import _instrumented_call, _ProcessMap
+from repro.obs import METRICS, TraceContext
 
 # ----------------------------------------------------------------------
 # Wire format: 4-byte big-endian length prefix + UTF-8 JSON
@@ -103,7 +104,12 @@ def _recv_exact(sock: "socket.socket", n: int) -> "Optional[bytes]":
 
 
 def recv_frame(sock: "socket.socket") -> "Optional[dict]":
-    """Read one frame; ``None`` means the peer went away (EOF/reset)."""
+    """Read one frame; ``None`` means the peer went away (EOF/reset).
+
+    Raises:
+        DataError: The length exceeds :data:`MAX_FRAME_BYTES`, or the
+            body is not UTF-8 JSON encoding an object.
+    """
     header = _recv_exact(sock, _FRAME_LEN.size)
     if header is None:
         return None
@@ -116,7 +122,15 @@ def recv_frame(sock: "socket.socket") -> "Optional[dict]":
     body = _recv_exact(sock, length)
     if body is None:
         return None
-    return json.loads(body.decode("utf-8"))
+    try:
+        frame = json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"malformed frame: {exc}") from None
+    if not isinstance(frame, dict):
+        raise DataError(
+            f"frame must be a JSON object, got {type(frame).__name__}"
+        )
+    return frame
 
 
 def spec_to_wire(spec) -> dict:
@@ -138,6 +152,54 @@ def spec_from_wire(wire: dict, trace=None):
     if trace is not None:
         fields["trace_context"] = tuple(trace)
     return ExperimentSpec(**fields)
+
+
+# ----------------------------------------------------------------------
+# Instrumented work units (pool and socket workers alike)
+# ----------------------------------------------------------------------
+
+
+def _instrumented_call(
+    fn: Callable, item: Any, trace_wire=None
+) -> "tuple[Any, dict, list]":
+    """Run one work unit in a worker: (result, metrics delta, span dicts).
+
+    Pool workers are reused across calls, and under the fork start method
+    they also inherit the parent's registry, so the delta is computed
+    against a snapshot taken at call entry rather than against zero.
+
+    ``trace_wire`` is the submitting span's context in wire form (or
+    ``None`` when tracing is off).  The call then runs under a fresh
+    buffering tracer so worker spans ride home with the result instead of
+    contending for the parent's trace file.
+    """
+    context = TraceContext.from_wire(trace_wire)
+    before = METRICS.snapshot()
+    with obs.capture(context) as tracer:
+        if context is None:
+            result = fn(item)
+        else:
+            with tracer.span("runtime.work_unit"):
+                result = fn(item)
+    after = METRICS.snapshot()
+    delta = {
+        "counters": {
+            name: amount - before["counters"].get(name, 0)
+            for name, amount in after["counters"].items()
+            if amount - before["counters"].get(name, 0)
+        },
+        "stages": {
+            name: {
+                "seconds": stage["seconds"]
+                - before["stages"].get(name, {}).get("seconds", 0.0),
+                "calls": stage["calls"]
+                - before["stages"].get(name, {}).get("calls", 0),
+            }
+            for name, stage in after["stages"].items()
+            if stage["calls"] - before["stages"].get(name, {}).get("calls", 0)
+        },
+    }
+    return result, delta, [span.to_dict() for span in tracer.drain()]
 
 
 # ----------------------------------------------------------------------
@@ -193,15 +255,21 @@ class SerialExecutor(Executor):
             yield spec.digest(), evaluate_spec(spec)
 
     def map(self, fn, items):
-        return _ProcessMap(jobs=1).map(fn, items)
+        return PoolExecutor(jobs=1).map(fn, items)
 
 
 class PoolExecutor(Executor):
-    """The single-machine process pool (née ``ParallelMap``).
+    """The single-machine process pool, and the one ordered map.
 
     A width of one runs everything inline — no pool, no pickling — which
     is also the all-defaults behavior, so existing serial call sites are
-    unchanged byte for byte.
+    unchanged byte for byte.  Results come back in submission order and
+    every work unit is a pure function of its (picklable) argument, so
+    any width produces byte-identical output.  Each pooled call runs in
+    :func:`_instrumented_call`; the parent merges the worker's metrics
+    delta and re-parents its spans, so a parallel run's metrics and
+    trace count every market built and every cache hit, wherever it
+    happened.
 
     Args:
         jobs: Worker count override (``None`` defers to the config).
@@ -223,18 +291,50 @@ class PoolExecutor(Executor):
         self.config = config
         self.jobs = config.worker_count()
         self.max_inflight = self.jobs
-        self._engine = _ProcessMap(jobs=self.jobs)
 
     def submit(self, specs):
         from repro.runtime.spec import evaluate_spec
 
         specs = list(specs)
-        results = self._engine.map(evaluate_spec, specs)
+        results = self.map(evaluate_spec, specs)
         for spec, result in zip(specs, results):
             yield spec.digest(), result
 
     def map(self, fn, items):
-        return self._engine.map(fn, items)
+        """Apply ``fn`` to every item, preserving order.
+
+        ``fn`` and the items must be picklable when more than one worker
+        is in play (module-level functions and frozen dataclasses are).
+        """
+        items = list(items)
+        workers = min(self.jobs, len(items)) or 1
+        METRICS.incr("map_calls")
+        if workers <= 1:
+            with METRICS.stage("map.serial"), obs.span(
+                "runtime.map", items=len(items), workers=1
+            ):
+                return [fn(item) for item in items]
+        # "workers_used" reports the widest pool of the run (a max, not a sum).
+        METRICS.incr("workers_used", max(0, workers - METRICS.counter("workers_used")))
+        with METRICS.stage("map.parallel"), obs.span(
+            "runtime.map", items=len(items), workers=workers
+        ):
+            context = obs.current_context()
+            wire = None if context is None else context.to_wire()
+            with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers
+            ) as pool:
+                futures = [
+                    pool.submit(_instrumented_call, fn, item, wire)
+                    for item in items
+                ]
+                results = []
+                for future in futures:
+                    result, delta, spans = future.result()
+                    METRICS.merge(delta)
+                    obs.adopt_spans(spans, context)
+                    results.append(result)
+        return results
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +473,7 @@ class SocketExecutor(Executor):
     def map(self, fn, items):
         # Arbitrary callables don't cross the JSON wire; run them in a
         # local pool of the same width instead.
-        return _ProcessMap(jobs=self.max_inflight).map(fn, items)
+        return PoolExecutor(jobs=self.max_inflight).map(fn, items)
 
     def close(self):
         with self._lock:
@@ -658,7 +758,10 @@ def worker_main(
         while max_specs is None or executed < max_specs:
             with send_lock:
                 send_frame(sock, {"op": "pull"})
-            frame = recv_frame(sock)
+            try:
+                frame = recv_frame(sock)
+            except DataError:
+                frame = None  # a coordinator speaking garbage is a lost one
             if frame is None:
                 break
             op = frame.get("op")

@@ -1,8 +1,8 @@
-"""Online quote serving: answering pricing questions at traffic scale.
+"""Quote pricing: answering pricing questions at traffic scale.
 
 The batch runtime computes tier designs; the streaming repricer keeps
-them fresh.  This package is the piece that *answers* with them: an
-in-process concurrent quote service built from
+them fresh.  This package is the piece that *prices* with them, in
+process:
 
 * :class:`PricingSnapshot` — an immutable, versioned, digest-stamped view
   of one published design (tier rate card + vectorized destination→tier
@@ -12,14 +12,17 @@ in-process concurrent quote service built from
 * :class:`QuoteEngine` — single and batched pricing queries ("flow of
   ``v`` Mbps over ``d`` miles to ``dst`` → tier, unit price, profit
   contribution"), vectorized through the same cost plumbing the designs
-  were calibrated with;
-* :class:`QuoteServer` — thread-pool workers over a bounded admission
-  queue: per-request timeouts, drop-oldest load shedding, and graceful
-  degradation to the blended rate ``P0`` whenever no snapshot can answer;
-* :mod:`~repro.serve.loadgen` — the seeded load generator behind
-  ``python -m repro serve --selftest`` and the serve benchmark.
+  were calibrated with, degrading to the blended rate ``P0`` whenever no
+  snapshot can answer;
+* :func:`generate_requests` — the seeded request mix behind
+  ``python -m repro fleet --selftest`` and the batching bench.
 
-Wiring it to a live stream is one argument::
+``QuoteEngine.quote_batch`` over a registry is the single-process quote
+call.  Serving quotes to callers — admission control, shedding, batching
+across connections — is :mod:`repro.fleet`, whose shard processes each
+run this engine over a shared-memory snapshot.
+
+Wiring the registry to a live stream is one argument::
 
     registry = SnapshotRegistry()
     pipeline = StreamingPipeline(
@@ -30,24 +33,17 @@ Every accepted re-tiering then hot-swaps the active snapshot, and
 subsequent quotes reflect the new tier prices.
 """
 
-from repro.config import ServeConfig
 from repro.serve.engine import Quote, QuoteEngine, QuoteRequest
-from repro.serve.loadgen import LoadReport, generate_requests, run_load
+from repro.serve.loadgen import generate_requests
 from repro.serve.registry import SnapshotRegistry
-from repro.serve.server import PendingQuote, QuoteServer
 from repro.serve.snapshot import PricingSnapshot, UNKNOWN_TIER
 
 __all__ = [
-    "LoadReport",
-    "PendingQuote",
     "PricingSnapshot",
     "Quote",
     "QuoteEngine",
     "QuoteRequest",
-    "QuoteServer",
-    "ServeConfig",
     "SnapshotRegistry",
     "UNKNOWN_TIER",
     "generate_requests",
-    "run_load",
 ]

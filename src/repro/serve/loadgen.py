@@ -1,69 +1,19 @@
-"""Deterministic load generation for the quote server.
+"""Deterministic quote load: a seeded request mix.
 
-Drives a running :class:`~repro.serve.server.QuoteServer` with a seeded
-request mix — mostly designed destinations, a configurable fraction of
-unknown ones — and reports sustained quotes/sec plus the request-latency
-tail.  Both the CLI's ``serve --selftest`` and the serve benchmark run
-through here, so the committed baselines and the smoke runs measure the
-same workload.
+Mostly designed destinations, a configurable fraction of unknown ones.
+``python -m repro fleet --selftest``, the fleet tests and the batching
+bench all draw their requests from here, so smoke runs and benches quote
+the same workload.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import time
 from typing import Optional
 
 import numpy as np
 
-from repro.errors import QuoteTimeoutError
-from repro.obs import METRICS
 from repro.serve.engine import QuoteRequest
-from repro.serve.server import QuoteServer
 from repro.serve.snapshot import PricingSnapshot
-
-
-@dataclasses.dataclass(frozen=True)
-class LoadReport:
-    """What one load run did.
-
-    ``answered`` counts every response the callers received — priced or
-    degraded — while ``timed_out`` counts requests whose answer never
-    arrived in time.  Latency quantiles are submit→resolve milliseconds
-    from the ``serve.request`` reservoir.
-    """
-
-    n_requests: int
-    answered: int
-    priced: int
-    degraded: int
-    known: int
-    timed_out: int
-    shed: int
-    wall_time_s: float
-    latency_ms: dict
-
-    @property
-    def quotes_per_second(self) -> float:
-        return self.answered / max(self.wall_time_s, 1e-9)
-
-    def render(self) -> str:
-        tail = ", ".join(
-            f"{name} {value:.2f} ms"
-            for name, value in sorted(self.latency_ms.items())
-        )
-        return "\n".join(
-            [
-                f"load: {self.n_requests} requests in "
-                f"{self.wall_time_s:.2f} s ({self.quotes_per_second:,.0f} "
-                f"quotes/s)",
-                f"  answered: {self.answered} ({self.priced} priced / "
-                f"{self.degraded} degraded, {self.known} known "
-                f"destinations), {self.timed_out} timed out, "
-                f"{self.shed} shed",
-                f"  latency: {tail or 'n/a'}",
-            ]
-        )
 
 
 def generate_requests(
@@ -103,55 +53,3 @@ def generate_requests(
             )
         )
     return requests
-
-
-def run_load(
-    server: QuoteServer,
-    requests: "list[QuoteRequest]",
-    burst: int = 128,
-    timeout_ms: "Optional[float]" = None,
-) -> LoadReport:
-    """Fire the requests in bursts and gather every answer.
-
-    Bursts bound how much the generator outruns the workers: each burst is
-    fully submitted, then fully awaited, which keeps queue pressure
-    realistic without the generator itself timing everything out.
-    """
-    shed_before = server.shed
-    answered = priced = degraded = known = timed_out = 0
-    start = time.perf_counter()
-    for at in range(0, len(requests), max(1, burst)):
-        pendings = [
-            server.submit(request, timeout_ms)
-            for request in requests[at : at + burst]
-        ]
-        for pending in pendings:
-            try:
-                quote = pending.result()
-            except QuoteTimeoutError:
-                timed_out += 1
-                continue
-            answered += 1
-            if quote.degraded:
-                degraded += 1
-            else:
-                priced += 1
-            if quote.known:
-                known += 1
-    wall = time.perf_counter() - start
-    return LoadReport(
-        n_requests=len(requests),
-        answered=answered,
-        priced=priced,
-        degraded=degraded,
-        known=known,
-        timed_out=timed_out,
-        shed=server.shed - shed_before,
-        wall_time_s=wall,
-        latency_ms={
-            name: seconds * 1000.0
-            for name, seconds in METRICS.latency_quantiles(
-                "serve.request"
-            ).items()
-        },
-    )

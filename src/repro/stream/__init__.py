@@ -25,7 +25,7 @@ from repro.stream.pipeline import (
     StreamingPipeline,
     StreamReport,
 )
-from repro.stream.queue import BoundedQueue, POLICIES, RecordQueue
+from repro.stream.queue import POLICIES, RecordQueue
 from repro.stream.repricer import (
     DesignPublication,
     OnlineRepricer,
@@ -45,7 +45,6 @@ from repro.stream.source import (
 from repro.stream.window import ClosedWindow, WindowBounds, Windower
 
 __all__ = [
-    "BoundedQueue",
     "CHECKPOINT_FORMAT_VERSION",
     "ClosedWindow",
     "DemandShift",

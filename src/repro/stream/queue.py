@@ -1,10 +1,9 @@
-"""Bounded ingest queues with an explicit backpressure policy.
+"""The bounded ingest queue, with an explicit backpressure policy.
 
-A queue sits between a source and its consumer, bounding how much the
+The queue sits between a source and its consumer, bounding how much the
 process buffers.  :class:`RecordQueue` holds the stream's record batches
-between window closes, with its capacity counted in records;
-:class:`BoundedQueue` holds arbitrary items (the quote servers' requests).
-Two policies govern a full queue:
+between window closes, with its capacity counted in records.  Two
+policies govern a full queue:
 
 * ``block`` — the producer must wait: the queue refuses what does not
   fit and the caller drains the queue downstream before retrying.
@@ -12,8 +11,8 @@ Two policies govern a full queue:
   degenerates to draining immediately, while a socket-fed deployment
   would stop reading from the exporter (TCP/SCTP backpressure).
 * ``drop-oldest`` — bounded memory wins over completeness: the oldest
-  buffered records or items are evicted (and counted) to make room, the
-  way a fixed-size kernel socket buffer sheds load.
+  buffered records are evicted (and counted) to make room, the way a
+  fixed-size kernel socket buffer sheds load.
 
 Every drop and forced drain is counted locally and in the global
 :data:`~repro.runtime.metrics.METRICS` registry, so lossy runs are
@@ -26,7 +25,7 @@ import collections
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.netflow.records import NetFlowRecord, RecordBatch
+from repro.netflow.records import RecordBatch
 from repro.obs import METRICS
 
 #: Accepted backpressure policies.
@@ -139,86 +138,3 @@ class RecordQueue:
         self.dropped = int(counters.get("dropped", 0))
         self.blocked = int(counters.get("blocked", 0))
         self.high_watermark = max(int(counters.get("high_watermark", 0)), self._size)
-
-
-class BoundedQueue:
-    """A FIFO of items with a hard capacity and a full-queue policy."""
-
-    def __init__(self, capacity: int, policy: str = "block") -> None:
-        self.capacity = _validated(capacity, policy)
-        self.policy = policy
-        self._queue: "collections.deque[NetFlowRecord]" = collections.deque()
-        self.dropped = 0
-        self.blocked = 0
-        self.high_watermark = 0
-        #: Optional hook invoked with each record evicted under
-        #: ``drop-oldest`` — the quote server uses it to answer shed
-        #: requests with a degraded quote instead of losing them silently.
-        self.on_evict = None
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    @property
-    def full(self) -> bool:
-        return len(self._queue) >= self.capacity
-
-    def offer(self, record: NetFlowRecord) -> bool:
-        """Try to enqueue one record.
-
-        Returns ``False`` only under the ``block`` policy with a full
-        queue — the caller must drain downstream and retry.  Under
-        ``drop-oldest`` the record is always accepted, evicting the
-        oldest buffered record when full.
-        """
-        if self.full:
-            if self.policy == "block":
-                self.blocked += 1
-                METRICS.incr("stream.queue_blocked")
-                return False
-            victim = self._queue.popleft()
-            self.dropped += 1
-            METRICS.incr("stream.queue_dropped")
-            if self.on_evict is not None:
-                self.on_evict(victim)
-        self._queue.append(record)
-        self.high_watermark = max(self.high_watermark, len(self._queue))
-        return True
-
-    def drain(self) -> "list[NetFlowRecord]":
-        """Remove and return everything buffered, in arrival order."""
-        out = list(self._queue)
-        self._queue.clear()
-        return out
-
-    # ------------------------------------------------------------------
-    # Checkpoint support
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> "list[NetFlowRecord]":
-        """The buffered records, in order, without removing them."""
-        return list(self._queue)
-
-    def counters(self) -> dict:
-        return {
-            "dropped": self.dropped,
-            "blocked": self.blocked,
-            "high_watermark": self.high_watermark,
-        }
-
-    def restore(
-        self, records: "list[NetFlowRecord]", counters: "dict | None" = None
-    ) -> None:
-        """Refill the queue from a checkpoint snapshot."""
-        if len(records) > self.capacity:
-            raise ConfigurationError(
-                f"checkpoint holds {len(records)} queued records but the "
-                f"queue capacity is {self.capacity}"
-            )
-        self._queue = collections.deque(records)
-        counters = counters or {}
-        self.dropped = int(counters.get("dropped", 0))
-        self.blocked = int(counters.get("blocked", 0))
-        self.high_watermark = max(
-            int(counters.get("high_watermark", 0)), len(self._queue)
-        )

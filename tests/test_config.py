@@ -1,6 +1,5 @@
 """Tests for the unified configuration API: the explicit > CLI > env >
-default precedence chain, env parsing, validation, and the deprecated
-spelling shims."""
+default precedence chain, env parsing, and validation."""
 
 import argparse
 import dataclasses
@@ -9,9 +8,9 @@ import os
 import pytest
 
 from repro.config import (
+    FleetConfig,
     ObsConfig,
     RuntimeConfig,
-    ServeConfig,
     StreamConfig,
 )
 from repro.core.ced import CEDDemand
@@ -26,7 +25,7 @@ def namespace(**attrs):
 class TestPrecedenceChain:
     def test_default_when_nothing_given(self):
         assert RuntimeConfig.resolve().jobs is None
-        assert ServeConfig.resolve().workers == 2
+        assert FleetConfig.resolve().shards == 2
 
     def test_env_beats_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "6")
@@ -47,9 +46,9 @@ class TestPrecedenceChain:
         assert RuntimeConfig.resolve(jobs=None).jobs == 6
 
     def test_none_cli_attribute_falls_through(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "5")
-        cfg = ServeConfig.resolve(cli=namespace(workers=None))
-        assert cfg.workers == 5
+        monkeypatch.setenv("REPRO_FLEET_SHARDS", "5")
+        cfg = FleetConfig.resolve(cli=namespace(shards=None))
+        assert cfg.shards == 5
 
     def test_empty_env_is_unset(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "   ")
@@ -67,11 +66,11 @@ class TestEnvParsing:
             RuntimeConfig.resolve()
 
     def test_garbage_float_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_TIMEOUT_MS", "soon")
+        monkeypatch.setenv("REPRO_FLEET_TIMEOUT_MS", "soon")
         with pytest.raises(
-            ConfigurationError, match="REPRO_SERVE_TIMEOUT_MS"
+            ConfigurationError, match="REPRO_FLEET_TIMEOUT_MS"
         ):
-            ServeConfig.resolve()
+            FleetConfig.resolve()
 
     def test_no_cache_env_disables_cache(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
@@ -108,25 +107,6 @@ class TestRuntimeConfig:
             RuntimeConfig().jobs = 4
 
 
-class TestServeConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError, match="workers"):
-            ServeConfig(workers=0)
-        with pytest.raises(ConfigurationError, match="queue_depth"):
-            ServeConfig(queue_depth=0)
-        with pytest.raises(ConfigurationError, match="timeout_ms"):
-            ServeConfig(timeout_ms=0)
-        with pytest.raises(ConfigurationError, match="max_batch"):
-            ServeConfig(max_batch=0)
-
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_QUEUE_DEPTH", "17")
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "9")
-        cfg = ServeConfig.resolve()
-        assert cfg.queue_depth == 17
-        assert cfg.max_batch == 9
-
-
 class TestStreamConfig:
     def test_importable_from_both_paths(self):
         from repro.stream import StreamConfig as via_stream
@@ -142,52 +122,3 @@ class TestStreamConfig:
         assert base != StreamConfig(window_ms=1).digest(demand, cost)
         assert base != StreamConfig().digest(CEDDemand(alpha=1.3), cost)
 
-
-class TestDeprecatedSpellings:
-    def test_figure_workers_alias_maps_to_jobs(self):
-        from repro.cli import _apply_flag_aliases, build_parser
-
-        args = build_parser().parse_args(["figure", "14", "--workers", "3"])
-        with pytest.warns(DeprecationWarning, match=r"^repro figure --workers"):
-            _apply_flag_aliases(args)
-        assert args.jobs == 3
-
-    def test_canonical_jobs_wins_over_alias(self):
-        from repro.cli import _apply_flag_aliases, build_parser
-
-        args = build_parser().parse_args(
-            ["figure", "14", "--jobs", "2", "--workers", "5"]
-        )
-        with pytest.warns(DeprecationWarning):
-            _apply_flag_aliases(args)
-        assert args.jobs == 2
-
-    def test_serve_jobs_alias_maps_to_workers(self):
-        from repro.cli import _apply_flag_aliases, build_parser
-
-        args = build_parser().parse_args(["serve", "eu_isp", "--jobs", "4"])
-        with pytest.warns(DeprecationWarning, match=r"^repro serve --jobs"):
-            _apply_flag_aliases(args)
-        assert args.workers == 4
-
-    def test_quote_server_legacy_kwargs_warn(self):
-        from repro.serve import QuoteEngine, QuoteServer, SnapshotRegistry
-
-        engine = QuoteEngine(
-            SnapshotRegistry(), LinearDistanceCost(theta=0.2)
-        )
-        with pytest.warns(DeprecationWarning, match=r"^repro\.serve"):
-            server = QuoteServer(engine, workers=3)
-        assert server.config == ServeConfig(workers=3)
-
-    def test_config_object_bypasses_the_shim(self, recwarn):
-        from repro.serve import QuoteEngine, QuoteServer, SnapshotRegistry
-
-        engine = QuoteEngine(
-            SnapshotRegistry(), LinearDistanceCost(theta=0.2)
-        )
-        QuoteServer(engine, ServeConfig(workers=1))
-        assert not [
-            w for w in recwarn.list
-            if issubclass(w.category, DeprecationWarning)
-        ]

@@ -15,7 +15,6 @@ from repro.errors import (
     MechanismError,
     ModelParameterError,
     OptimizationError,
-    QuoteTimeoutError,
     ReproError,
     SnapshotUnavailableError,
     TopologyError,
@@ -32,7 +31,6 @@ ALL_ERRORS = [
     MechanismError,
     ModelParameterError,
     OptimizationError,
-    QuoteTimeoutError,
     SnapshotUnavailableError,
     TopologyError,
     WorkerLostError,
@@ -87,10 +85,6 @@ def test_runtime_like_errors_are_runtime_errors():
 
 def test_worker_lost_is_an_executor_error():
     assert issubclass(WorkerLostError, ExecutorError)
-
-
-def test_quote_timeout_is_a_timeout_error():
-    assert issubclass(QuoteTimeoutError, TimeoutError)
 
 
 def test_catching_base_catches_subclass():

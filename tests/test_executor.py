@@ -15,6 +15,7 @@ import json
 import os
 import signal
 import socket as socket_module
+import struct
 import subprocess
 import sys
 import threading
@@ -44,6 +45,7 @@ from repro.runtime.executor import (
     send_frame,
     spec_from_wire,
     spec_to_wire,
+    worker_main,
 )
 from repro.runtime.spec import ExperimentSpec, run_specs
 
@@ -57,8 +59,22 @@ SPECS = [
 ]
 
 
+#: Frame bodies that are not a JSON object: each must be a DataError.
+HOSTILE_BODIES = [
+    pytest.param(b"\xff\xfe{}", id="invalid-utf8"),
+    pytest.param(b'{"op": "pull"', id="invalid-json"),
+    pytest.param(b"[1, 2]", id="array"),
+    pytest.param(b"7", id="scalar"),
+    pytest.param(b"[" * 100_000, id="deep-nesting"),  # RecursionError
+]
+
+
 def _bytes(results) -> str:
     return json.dumps(results, sort_keys=True)
+
+
+def _raw_frame(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
 
 
 @pytest.fixture
@@ -109,6 +125,17 @@ class TestWire:
             a.close()
             b.close()
 
+    @pytest.mark.parametrize("body", HOSTILE_BODIES)
+    def test_malformed_frame_is_a_data_error(self, body):
+        a, b = socket_module.socketpair()
+        try:
+            a.sendall(_raw_frame(body))
+            with pytest.raises(DataError, match="frame"):
+                recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+
     def test_spec_survives_the_wire(self):
         spec = dataclasses.replace(SPECS[0], trace_context=("t" * 16, "s" * 8))
         wire = spec_to_wire(spec)
@@ -122,6 +149,84 @@ class TestWire:
         assert back.trace_context == spec.trace_context
         assert isinstance(back.strategies, tuple)
         assert isinstance(back.bundle_counts, tuple)
+
+
+class TestHostileFrames:
+    """Both ends of the socket backend survive a peer that sends a frame
+    body that is not a JSON object."""
+
+    @pytest.mark.parametrize("body", HOSTILE_BODIES)
+    def test_worker_stops_on_a_malformed_frame(self, body):
+        listener = socket_module.create_server(("127.0.0.1", 0))
+        listener.settimeout(5.0)
+        host, port = listener.getsockname()[:2]
+        outcome = {}
+
+        def run_worker():
+            try:
+                outcome["executed"] = worker_main(host, port)
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                outcome["error"] = exc
+
+        worker = threading.Thread(target=run_worker, daemon=True)
+        worker.start()
+        try:
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(5.0)
+                assert recv_frame(conn)["op"] == "hello"
+                assert recv_frame(conn)["op"] == "pull"
+                conn.sendall(_raw_frame(body))
+                # The worker hangs up instead of pulling again.
+                assert conn.recv(1) == b""
+        finally:
+            listener.close()
+        worker.join(5.0)
+        assert not worker.is_alive()
+        assert outcome == {"executed": 0}
+
+    @pytest.mark.parametrize("body", HOSTILE_BODIES)
+    def test_coordinator_drops_the_connection_and_reclaims_the_lease(
+        self, fresh_cache, monkeypatch, body
+    ):
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        hung_up = []
+        with SocketExecutor(
+            jobs=1, spawn=0, max_retries=0, lease_timeout_ms=5000.0
+        ) as executor:
+
+            def hostile_worker():
+                sock = socket_module.create_connection(
+                    (executor.host, executor.port), timeout=5.0
+                )
+                with sock:
+                    send_frame(sock, {"op": "hello", "pid": -1})
+                    while True:
+                        send_frame(sock, {"op": "pull"})
+                        frame = recv_frame(sock)
+                        if frame is None or frame["op"] == "done":
+                            return
+                        if frame["op"] == "spec":
+                            break  # holding the lease
+                        time.sleep(float(frame.get("ms", 50)) / 1000.0)
+                    sock.sendall(_raw_frame(body))
+                    hung_up.append(sock.recv(1) == b"")
+
+            saboteur = threading.Thread(target=hostile_worker, daemon=True)
+            saboteur.start()
+            with pytest.raises(WorkerLostError, match="connection lost"):
+                list(executor.submit(SPECS[:1]))
+            saboteur.join(5.0)
+        assert hung_up == [True]
+        # The connection thread is gone — and it left without an uncaught
+        # exception.
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and any(
+            t.name == "repro-exec-conn" for t in threading.enumerate()
+        ):
+            time.sleep(0.01)
+        assert uncaught == []
 
 
 # ----------------------------------------------------------------------

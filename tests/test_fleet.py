@@ -4,8 +4,10 @@ asyncio front door.  Run cleanly under ``-W error::ResourceWarning`` —
 leaked segments, pipes, or sockets are bugs here, not noise."""
 
 import asyncio
+import json
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -565,6 +567,264 @@ class TestFrontDoor:
         assert report.latency_ms["p99"] >= report.latency_ms["p50"] > 0
         assert report.versions == (fleet.version,)
 
+    def test_single_quote_round_trip(self, fleet, snapshot):
+        requests_before = METRICS.counter("fleet.requests")
+        latencies_before = METRICS.latency_count("fleet.request")
+
+        async def scenario():
+            async with FrontDoor(fleet) as door:
+                async with await FleetClient.connect(
+                    door.host, door.port
+                ) as client:
+                    return await client.quote_batch([{"dst": "10.0.0.1"}])
+
+        (answer,) = asyncio.run(scenario())
+        assert not answer["degraded"] and answer["known"]
+        assert answer["snapshot_digest"] == snapshot.digest
+        assert METRICS.counter("fleet.requests") == requests_before + 1
+        assert METRICS.latency_count("fleet.request") == latencies_before + 1
+
+    def test_frame_answers_follow_request_order_across_shards(
+        self, fleet, snapshot
+    ):
+        """One frame is split by shard and reassembled in request order."""
+        requests = generate_requests(
+            100, seed=3, snapshot=snapshot, unknown_fraction=0.5
+        )
+        assert {shard_of(r.dst, fleet.n_shards) for r in requests} == {0, 1}
+        registry = SnapshotRegistry()
+        registry.adopt(snapshot)
+        expected = QuoteEngine(registry, COST_MODEL, P0).quote_batch(requests)
+
+        async def scenario():
+            async with FrontDoor(fleet) as door:
+                async with await FleetClient.connect(
+                    door.host, door.port
+                ) as client:
+                    return await client.quote_batch(
+                        [
+                            {
+                                "dst": r.dst,
+                                "volume_mbps": r.volume_mbps,
+                                "distance_miles": r.distance_miles,
+                            }
+                            for r in requests
+                        ]
+                    )
+
+        answers = asyncio.run(scenario())
+        assert len(answers) == len(expected)
+        for ours, theirs in zip(answers, expected):
+            assert not ours["degraded"]
+            assert ours["tier"] == theirs.tier
+            assert ours["known"] == theirs.known
+            assert ours["unit_price"] == pytest.approx(theirs.unit_price)
+            assert ours["unit_cost"] == pytest.approx(theirs.unit_cost)
+            assert ours["profit_contribution"] == pytest.approx(
+                theirs.profit_contribution
+            )
+
+    def test_fleet_not_running_answers_degraded(self):
+        """A front door over a fleet that was never started still answers
+        every request, as a degraded blended-rate quote."""
+        fleet = ShardFleet(
+            COST_MODEL, FleetConfig(shards=1), fallback_blended_rate=P0
+        )
+
+        async def scenario():
+            async with FrontDoor(fleet) as door:
+                async with await FleetClient.connect(
+                    door.host, door.port
+                ) as client:
+                    return await asyncio.wait_for(
+                        client.quote_batch(
+                            [{"dst": "10.0.0.1"}, {"dst": "10.0.1.1"}]
+                        ),
+                        5.0,
+                    )
+
+        answers = asyncio.run(scenario())
+        assert len(answers) == 2
+        for answer in answers:
+            assert answer["degraded"]
+            assert answer["reason"] == "shard down"
+            assert answer["unit_price"] == pytest.approx(P0)
+            assert answer["snapshot_version"] is None
+
+    def test_socket_load_accounts_for_every_request(self, fleet, snapshot):
+        """Under shedding, every request is still answered exactly once,
+        priced or degraded, and the report says so."""
+        requests = generate_requests(
+            300, seed=6, snapshot=snapshot, unknown_fraction=0.2
+        )
+        # A 64-quote frame puts more than 8 requests on some shard, and a
+        # frame is admitted without yielding: shedding is certain.
+        config = FleetConfig(shards=2, queue_depth=8, max_batch=4)
+
+        async def scenario():
+            async with FrontDoor(fleet, config) as door:
+                report = await run_socket_load(
+                    door.host, door.port, requests, frame_size=64
+                )
+                return report, door.shed
+
+        report, shed = asyncio.run(scenario())
+        assert report.answered == report.n_requests == 300
+        assert report.answered == report.priced + report.degraded
+        assert report.degraded == shed > 0
+        assert report.priced > 0
+        assert report.quotes_per_second > 0
+        assert "p99" in report.latency_ms
+        rendered = report.render()
+        assert "quotes/s" in rendered
+        assert f"{report.degraded} degraded" in rendered
+
+    def test_full_shard_queue_sheds_the_oldest_requests(
+        self, fleet, snapshot
+    ):
+        """A frame is admitted without yielding, so a shard queue of 4 that
+        receives 12 requests keeps exactly the newest 4."""
+        config = FleetConfig(shards=2, queue_depth=4, max_batch=4)
+        requests = [
+            QuoteRequest(
+                dst="10.0.0.1", volume_mbps=float(i + 1), distance_miles=10.0
+            )
+            for i in range(12)
+        ]
+        registry = SnapshotRegistry()
+        registry.adopt(snapshot)
+        expected = QuoteEngine(registry, COST_MODEL, P0).quote_batch(
+            requests[8:]
+        )
+
+        async def scenario():
+            async with FrontDoor(fleet, config) as door:
+                async with await FleetClient.connect(
+                    door.host, door.port
+                ) as client:
+                    answers = await client.quote_batch(
+                        [
+                            {
+                                "dst": r.dst,
+                                "volume_mbps": r.volume_mbps,
+                                "distance_miles": r.distance_miles,
+                            }
+                            for r in requests
+                        ]
+                    )
+                    return answers, door.shed
+
+        answers, shed = asyncio.run(scenario())
+        assert shed == 8
+        for answer in answers[:8]:
+            assert answer["degraded"]
+            assert answer["reason"] == "shed by admission control"
+            assert answer["unit_price"] == pytest.approx(P0)
+        for ours, theirs in zip(answers[8:], expected):
+            assert not ours["degraded"] and ours["known"]
+            assert ours["profit_contribution"] == pytest.approx(
+                theirs.profit_contribution
+            )
+
+    def test_each_shed_request_is_answered_and_counted_once(
+        self, fleet, snapshot
+    ):
+        config = FleetConfig(shards=2, queue_depth=4, max_batch=4)
+        by_shard = {shard_of(d, 2): d for d in snapshot.destinations}
+        assert sorted(by_shard) == [0, 1]
+        quotes = [
+            {"dst": by_shard[j % 2], "volume_mbps": 1.0, "distance_miles": 1.0}
+            for j in range(24)
+        ]
+        names = ("fleet.shed", "fleet.degraded", "fleet.requests")
+        before = {name: METRICS.counter(name) for name in names}
+        latencies_before = METRICS.latency_count("fleet.request")
+
+        async def scenario():
+            async with FrontDoor(fleet, config) as door:
+                async with await FleetClient.connect(
+                    door.host, door.port
+                ) as client:
+                    return await client.quote_batch(quotes), door.shed
+
+        answers, shed = asyncio.run(scenario())
+        # 12 requests per shard into queues of 4: 8 shed on each shard.
+        assert shed == 16
+        assert len(answers) == 24
+        assert sum(a["degraded"] for a in answers) == shed
+        delta = {name: METRICS.counter(name) - before[name] for name in names}
+        assert delta == {
+            "fleet.shed": shed,
+            "fleet.degraded": shed,
+            "fleet.requests": 24,
+        }
+        assert METRICS.latency_count("fleet.request") == latencies_before + 24
+
+    def test_shed_answers_go_out_while_the_shard_is_held(
+        self, fleet, monkeypatch
+    ):
+        """Shedding answers the evicted requests at once, without waiting
+        for the shard round trip that kept them queued."""
+        config = FleetConfig(shards=2, queue_depth=4, max_batch=1)
+        real_quote_shard = fleet.quote_shard
+        entered, gate = threading.Event(), threading.Event()
+
+        def held_quote_shard(sid, requests, timeout_s=None):
+            entered.set()
+            gate.wait(5.0)
+            return real_quote_shard(sid, requests, timeout_s)
+
+        monkeypatch.setattr(fleet, "quote_shard", held_quote_shard)
+
+        def frame(n):
+            return [
+                {"dst": "10.0.0.1", "volume_mbps": 1.0, "distance_miles": 1.0}
+                for _ in range(n)
+            ]
+
+        async def until(predicate):
+            deadline = time.monotonic() + 5.0
+            while not predicate():
+                assert time.monotonic() < deadline, "timed out waiting"
+                await asyncio.sleep(0.005)
+
+        async def scenario():
+            async with FrontDoor(fleet, config) as door:
+                async with await FleetClient.connect(
+                    door.host, door.port
+                ) as client:
+                    try:
+                        admitted = METRICS.counter("fleet.requests")
+                        held = asyncio.create_task(client.quote_batch(frame(1)))
+                        await until(entered.is_set)
+                        queued = asyncio.create_task(
+                            client.quote_batch(frame(4))
+                        )
+                        await until(
+                            lambda: METRICS.counter("fleet.requests")
+                            == admitted + 5
+                        )
+                        newest = asyncio.create_task(
+                            client.quote_batch(frame(4))
+                        )
+                        shed = await asyncio.wait_for(queued, 5.0)
+                        assert not gate.is_set() and not held.done()
+                    finally:
+                        gate.set()
+                    rest = await asyncio.wait_for(
+                        asyncio.gather(held, newest), 5.0
+                    )
+                    return shed, [a for reply in rest for a in reply]
+
+        shed, served = asyncio.run(scenario())
+        assert len(shed) == 4
+        for answer in shed:
+            assert answer["degraded"]
+            assert answer["reason"] == "shed by admission control"
+            assert answer["unit_price"] == pytest.approx(P0)
+        assert len(served) == 5
+        assert not any(answer["degraded"] for answer in served)
+
     def test_admission_control_sheds_oldest_under_overload(
         self, fleet, snapshot, monkeypatch
     ):
@@ -576,6 +836,8 @@ class TestFrontDoor:
             return real_quote_shard(sid, requests, timeout_s)
 
         monkeypatch.setattr(fleet, "quote_shard", slow_quote_shard)
+        shed_before = METRICS.counter("fleet.shed")
+        dropped_before = METRICS.counter("stream.queue_dropped")
 
         async def scenario():
             async with FrontDoor(fleet, config) as door:
@@ -608,10 +870,63 @@ class TestFrontDoor:
                         and a["reason"] == "shed by admission control"
                     ]
                     assert shed, "overload never shed anything"
-                    return len(shed)
+                    for answer in shed:
+                        assert answer["unit_price"] == pytest.approx(P0)
+                    return len(shed), door
 
-        shed = asyncio.run(scenario())
-        assert shed > 0
+        shed, door = asyncio.run(scenario())
+        assert shed == door.shed > 0
+        # Shedding is counted once, as fleet shedding — no stream ran, so
+        # no stream record was dropped.
+        assert METRICS.counter("fleet.shed") - shed_before == door.shed
+        assert METRICS.counter("stream.queue_dropped") == dropped_before
+
+    def test_stop_answers_queued_requests_degraded(self, fleet, monkeypatch):
+        """Stopping with a round trip held and more than one batch queued:
+        every admitted request is still answered, the stopped ones as
+        degraded blended-rate quotes."""
+        config = FleetConfig(shards=2, queue_depth=64, max_batch=2)
+        real_quote_shard = fleet.quote_shard
+        entered = threading.Event()
+
+        def held_quote_shard(sid, requests, timeout_s=None):
+            entered.set()
+            time.sleep(0.3)
+            return real_quote_shard(sid, requests, timeout_s)
+
+        monkeypatch.setattr(fleet, "quote_shard", held_quote_shard)
+        batch = [
+            {"dst": f"10.9.0.{j}", "volume_mbps": 1.0, "distance_miles": 1.0}
+            for j in range(16)
+        ]
+
+        async def scenario():
+            door = await FrontDoor(fleet, config).start()
+            stopping = None
+            try:
+                async with await FleetClient.connect(
+                    door.host, door.port
+                ) as client:
+                    reply = asyncio.create_task(client.quote_batch(batch))
+                    deadline = time.monotonic() + 5.0
+                    while not entered.is_set():
+                        assert time.monotonic() < deadline, "no round trip"
+                        await asyncio.sleep(0.005)
+                    stopping = asyncio.create_task(door.stop())
+                    return await asyncio.wait_for(reply, 5.0)
+            finally:
+                await asyncio.wait_for(stopping or door.stop(), 5.0)
+
+        answers = asyncio.run(scenario())
+        assert len(answers) == len(batch)
+        stopped = [a for a in answers if a["reason"] == "front door stopped"]
+        # At most one held batch per shard may finish before the stop.
+        assert len(stopped) >= len(batch) - 2 * config.max_batch
+        for answer in stopped:
+            assert answer["degraded"]
+            assert answer["unit_price"] == pytest.approx(P0)
+        for answer in answers:
+            assert answer["degraded"] == (answer in stopped)
 
 
 # ----------------------------------------------------------------------
@@ -641,3 +956,26 @@ class TestCutoverUnderLoad:
         # The cutover completed before the second load began: zero
         # answers from the old design.
         assert second.versions == (flipped.version,)
+
+
+# ----------------------------------------------------------------------
+# The CLI: repro fleet
+# ----------------------------------------------------------------------
+
+
+class TestFleetCommand:
+    def test_mechanism_flag_serves_a_reclearing_design(self, capsys):
+        from repro.cli import main
+
+        argv = ["--flows", "40", "fleet", "eu_isp", "--mechanism", "hybrid"]
+        argv += ["--selftest", "200", "--shards", "1", "--no-cache"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        # Hybrid publishes the posted book plus spot lots: more tiers
+        # than the 3-tier posted budget.
+        active = next(l for l in out.splitlines() if l.startswith("active "))
+        assert int(active.split(" tiers ")[0].rsplit(" ", 1)[1]) > 3
+        report = json.loads(out.split("fleet-report: ", 1)[1])
+        assert report["answered"] == 200 and report["degraded"] == 0
+        assert report["stale_after_cutover"] == 0
+        assert shm_segments() == []

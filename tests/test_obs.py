@@ -1,6 +1,6 @@
 """Tests for the tracing subsystem: span nesting, the no-op path,
-JSONL export/summarize, cross-process and cross-thread propagation, and
-the CLI ``--trace`` / ``trace summarize`` round trip."""
+JSONL export/summarize, cross-process propagation, and the CLI
+``--trace`` / ``trace summarize`` round trip."""
 
 import json
 import os
@@ -22,13 +22,6 @@ from repro.obs import (
     summarize_trace,
 )
 from repro.runtime.executor import PoolExecutor
-from repro.serve import (
-    QuoteEngine,
-    QuoteRequest,
-    QuoteServer,
-    ServeConfig,
-    SnapshotRegistry,
-)
 
 
 @pytest.fixture
@@ -169,7 +162,7 @@ class TestExportAndSummarize:
 
 
 # ----------------------------------------------------------------------
-# Propagation: adopt, process pools, server threads
+# Propagation: adopt, process pools, stream windows
 # ----------------------------------------------------------------------
 
 
@@ -244,23 +237,6 @@ class TestPropagation:
         assert all(w.parent_id == run_span.span_id for w in windows)
         assert run_span.attributes["window_ms"] == 600_000
         assert all("records" in w.attributes for w in windows)
-
-    def test_quote_server_batches_join_callers_trace(self, tracer):
-        engine = QuoteEngine(
-            SnapshotRegistry(), LinearDistanceCost(0.2),
-            fallback_blended_rate=20.0,
-        )
-        with tracer.span("caller") as caller:
-            with QuoteServer(engine, ServeConfig(workers=2)) as server:
-                quote = server.quote(QuoteRequest(dst="10.0.0.1"))
-        assert quote.degraded  # empty registry: blended-rate fallback
-        spans = tracer.drain()
-        batches = [s for s in spans if s.name == "serve.batch"]
-        assert batches
-        for batch in batches:
-            assert batch.trace_id == caller.trace_id
-            assert batch.parent_id == caller.span_id
-            assert batch.status == obs.STATUS_DEGRADED
 
 
 # ----------------------------------------------------------------------

@@ -61,9 +61,9 @@ def test_star_import_matches_all():
 
 def test_config_and_obs_types_reach_the_top_level():
     from repro import (
+        FleetConfig,
         ObsConfig,
         RuntimeConfig,
-        ServeConfig,
         StreamConfig,
         TraceContext,
         Tracer,
@@ -71,7 +71,7 @@ def test_config_and_obs_types_reach_the_top_level():
     from repro.config import RuntimeConfig as defined
 
     assert RuntimeConfig is defined
-    del ObsConfig, ServeConfig, StreamConfig, TraceContext, Tracer
+    del FleetConfig, ObsConfig, StreamConfig, TraceContext, Tracer
 
 
 def test_every_error_class_is_public():
@@ -91,6 +91,8 @@ def test_exit_codes_are_distinct_and_nonzero():
     codes = list(EXIT_CODES.values())
     assert len(codes) == len(set(codes))
     assert all(code not in (0, 1, 2) for code in codes)
+    # Retired codes are never handed out again (append, never renumber).
+    assert 20 not in codes
 
 
 def test_record_batch_is_public():

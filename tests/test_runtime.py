@@ -101,11 +101,12 @@ class TestPoolMap:
         assert parallel == serial
 
     def test_parallelmap_shim_removed(self):
-        # The one-release deprecation shim is gone; the pool backend is
-        # the only spelling of the process-map engine.
+        # The deprecation shim and its module are gone; PoolExecutor.map
+        # is the only spelling of the process-map engine.
         with pytest.raises(ImportError):
             from repro.runtime.parallel import ParallelMap  # noqa: F401
         assert "ParallelMap" not in repro.runtime.__all__
+        assert "JOBS_ENV" not in repro.runtime.__all__
 
     def test_jobs_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)

@@ -1,6 +1,6 @@
-"""Tests for the online quote-serving subsystem: snapshots, the hot-swap
-registry, the vectorized engine, the thread-pool server, and the
-stream→registry round trip."""
+"""Tests for in-process quote pricing: snapshots, the hot-swap
+registry, the vectorized engine under concurrent readers, and the
+stream→registry round trip.  Serving over sockets is ``test_fleet.py``."""
 
 import threading
 import time
@@ -17,22 +17,16 @@ from repro.core.market import Market
 from repro.errors import (
     ConfigurationError,
     DataError,
-    QuoteTimeoutError,
     SnapshotUnavailableError,
 )
 from repro.serve import (
     PricingSnapshot,
-    Quote,
     QuoteEngine,
     QuoteRequest,
-    QuoteServer,
-    ServeConfig,
     SnapshotRegistry,
     UNKNOWN_TIER,
     generate_requests,
-    run_load,
 )
-from repro.serve.server import PendingQuote
 from repro.stream import (
     DemandShift,
     StreamConfig,
@@ -281,174 +275,6 @@ class TestQuoteEngine:
 
 
 # ----------------------------------------------------------------------
-# QuoteServer
-# ----------------------------------------------------------------------
-
-
-class _GatedEngine(QuoteEngine):
-    """An engine whose batches block until the test opens the gate."""
-
-    def __init__(self, registry):
-        super().__init__(registry, COST_MODEL, fallback_blended_rate=P0)
-        self.gate = threading.Event()
-
-    def quote_batch(self, requests):
-        self.gate.wait(5.0)
-        return super().quote_batch(requests)
-
-
-class TestQuoteServer:
-    def test_round_trip(self, registry, engine):
-        snapshot = publish(registry)
-        with QuoteServer(engine, ServeConfig(workers=2, queue_depth=32)) as server:
-            quote = server.quote(QuoteRequest(dst="10.0.0.1"))
-        assert not quote.degraded
-        assert quote.snapshot_digest == snapshot.digest
-        assert server.served == 1
-
-    def test_quote_many_preserves_order(self, registry, engine):
-        publish(registry)
-        requests = generate_requests(
-            100, seed=3, snapshot=registry.current(), unknown_fraction=0.5
-        )
-        with QuoteServer(engine, ServeConfig(workers=3, queue_depth=256)) as server:
-            quotes = server.quote_many(requests)
-        expected = engine.quote_batch(requests)
-        assert quotes == expected
-
-    def test_submit_requires_running_server(self, engine):
-        server = QuoteServer(engine)
-        with pytest.raises(ConfigurationError):
-            server.submit(QuoteRequest(dst="x"))
-
-    def test_parameter_validation(self, engine):
-        with pytest.raises(ConfigurationError):
-            QuoteServer(engine, ServeConfig(workers=0))
-        with pytest.raises(ConfigurationError):
-            QuoteServer(engine, ServeConfig(timeout_ms=0))
-        with pytest.raises(ConfigurationError):
-            QuoteServer(engine, ServeConfig(max_batch=0))
-
-    def test_legacy_keywords_warn_but_work(self, engine):
-        with pytest.warns(DeprecationWarning, match="pass config=ServeConfig"):
-            server = QuoteServer(engine, workers=4, timeout_ms=250.0)
-        assert server.config.workers == 4
-        assert server.config.timeout_ms == 250.0
-        assert server.config.queue_depth == ServeConfig().queue_depth
-
-    def test_caller_timeout_raises(self, registry):
-        publish(registry)
-        engine = _GatedEngine(registry)
-        with QuoteServer(engine, ServeConfig(workers=1, timeout_ms=30.0)) as server:
-            pending = server.submit(QuoteRequest(dst="10.0.0.1"))
-            with pytest.raises(QuoteTimeoutError):
-                pending.result(0.05)
-            engine.gate.set()
-
-    def test_expired_requests_fail_with_timeout_error(self, registry):
-        publish(registry)
-        engine = _GatedEngine(registry)
-        with QuoteServer(engine, ServeConfig(workers=1, timeout_ms=20.0)) as server:
-            # The gate holds the single worker inside batch #1 while the
-            # second request expires in the queue.
-            first = server.submit(QuoteRequest(dst="10.0.0.1"), timeout_ms=5000)
-            time.sleep(0.05)  # let the worker pick up batch #1 and block
-            second = server.submit(QuoteRequest(dst="10.0.0.1"), timeout_ms=20)
-            time.sleep(0.05)  # let the second request's deadline pass
-            engine.gate.set()
-            assert not first.result(5.0).degraded
-            with pytest.raises(QuoteTimeoutError):
-                second.result(5.0)
-        assert server.timed_out >= 1
-
-    def test_full_queue_sheds_oldest_with_degraded_quote(self, registry):
-        publish(registry)
-        engine = _GatedEngine(registry)
-        server = QuoteServer(engine, ServeConfig(workers=1, queue_depth=4, timeout_ms=5000))
-        with server:
-            time.sleep(0.02)  # workers idle, gate closed: queue only fills
-            pendings = [
-                server.submit(QuoteRequest(dst="10.0.0.1")) for _ in range(12)
-            ]
-            shed = [p for p in pendings if p.done]
-            assert server.shed > 0
-            assert len(shed) >= server.shed > 0
-            for pending in shed:
-                quote = pending.result(0.0)
-                assert quote.degraded
-                assert quote.unit_price == pytest.approx(P0)
-                assert "shed" in quote.reason
-            engine.gate.set()
-            for pending in pendings:
-                assert pending.result(5.0) is not None
-
-    def test_stop_resolves_queued_requests_degraded(self, registry):
-        publish(registry)
-        engine = _GatedEngine(registry)
-        server = QuoteServer(engine, ServeConfig(workers=1, queue_depth=64, timeout_ms=5000))
-        server.start()
-        pendings = [
-            server.submit(QuoteRequest(dst="10.0.0.1")) for _ in range(8)
-        ]
-        engine.gate.set()
-        server.stop()
-        for pending in pendings:
-            quote = pending.result(0.5)
-            assert isinstance(quote, Quote)  # answered, never dropped
-
-    def test_stop_drains_in_flight_work_before_shutdown(self, registry):
-        """``stop()`` (drain=True, the default) honors every admitted
-        request: nothing submitted before the stop comes back degraded."""
-        publish(registry)
-        engine = _GatedEngine(registry)
-        server = QuoteServer(
-            engine, ServeConfig(workers=1, queue_depth=64, timeout_ms=5000)
-        )
-        server.start()
-        # The closed gate holds the worker inside batch #1 while the rest
-        # pile up in the queue — all of it must still be *priced*.
-        pendings = [
-            server.submit(QuoteRequest(dst="10.0.0.1")) for _ in range(16)
-        ]
-        engine.gate.set()
-        server.stop()
-        for pending in pendings:
-            quote = pending.result(1.0)
-            assert not quote.degraded
-            assert quote.known
-
-    def test_stop_without_drain_degrades_queued_requests(self, registry):
-        publish(registry)
-        engine = _GatedEngine(registry)
-        server = QuoteServer(
-            engine,
-            ServeConfig(workers=1, queue_depth=64, max_batch=1, timeout_ms=5000),
-        )
-        server.start()
-        pendings = [
-            server.submit(QuoteRequest(dst="10.0.0.1")) for _ in range(8)
-        ]
-        time.sleep(0.05)  # let the worker trap itself inside batch #1
-        engine.gate.set()
-        server.stop(drain=False)
-        quotes = [p.result(1.0) for p in pendings]
-        abandoned = [q for q in quotes if q.degraded]
-        assert abandoned, "fast stop should abandon the queued tail"
-        for quote in abandoned:
-            assert quote.reason == "server stopped"
-            assert quote.unit_price == pytest.approx(P0)
-
-    def test_close_is_the_resource_spelling_of_stop(self, registry, engine):
-        publish(registry)
-        server = QuoteServer(engine, ServeConfig(workers=1)).start()
-        pending = server.submit(QuoteRequest(dst="10.0.0.1"))
-        server.close()
-        assert not server.running
-        assert not pending.result(1.0).degraded
-        server.close()  # idempotent
-
-
-# ----------------------------------------------------------------------
 # Concurrent hot-swap: no torn reads, ever
 # ----------------------------------------------------------------------
 
@@ -542,48 +368,70 @@ class TestConcurrentHotSwap:
 
 class TestSnapshotChaos:
     def test_clear_mid_load_degrades_and_recovers(self, registry, engine):
+        """Reader threads quote through the engine while the registry is
+        cleared under them: nothing raises, every batch is answered, the
+        degraded answers are the blended rate, and the next publish
+        recovers."""
         publish(registry)
         requests = generate_requests(
             600, seed=7, snapshot=registry.current(), unknown_fraction=0.2
         )
-        with QuoteServer(
-            engine, ServeConfig(workers=3, queue_depth=128, timeout_ms=5000)
-        ) as server:
-            cleared = threading.Event()
+        chunks = [requests[at : at + 50] for at in range(0, len(requests), 50)]
+        started, cleared = threading.Event(), threading.Event()
+        quotes, errors = [], []
 
-            def chaos():
-                time.sleep(0.002)
-                registry.clear()
-                cleared.set()
+        def reader(offset):
+            # Quote passes until one has run entirely after the clear.
+            try:
+                deadline = time.monotonic() + 10.0
+                after_clear = False
+                while not after_clear and time.monotonic() < deadline:
+                    after_clear = cleared.is_set()
+                    for chunk in chunks[offset::3]:
+                        batch = engine.quote_batch(chunk)
+                        assert len(batch) == len(chunk)
+                        quotes.extend(batch)
+                        started.set()
+                    if after_clear:
+                        assert all(q.degraded for q in batch)
+            except Exception as exc:  # noqa: BLE001 - recorded for the assert
+                errors.append(repr(exc))
 
-            killer = threading.Thread(target=chaos)
-            killer.start()
-            quotes = server.quote_many(requests)  # must not raise
-            killer.join()
-            assert cleared.is_set()
+        def chaos():
+            started.wait(5.0)
+            registry.clear()
+            cleared.set()
 
-            # Everything was answered; anything quoted after the clear is
-            # the blended-rate degraded answer.
-            assert len(quotes) == len(requests)
-            degraded = [q for q in quotes if q.degraded]
-            for quote in degraded:
-                assert quote.unit_price == pytest.approx(P0)
-                assert quote.tier is None
+        threads = [threading.Thread(target=chaos)] + [
+            threading.Thread(target=reader, args=(i,)) for i in range(3)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+        assert not errors, errors[:5]
+        assert cleared.is_set()
 
-            # The registry is empty: every subsequent quote degrades.
-            followups = server.quote_many(requests[:32])
-            assert all(q.degraded for q in followups)
-            assert all(
-                q.unit_price == pytest.approx(P0) for q in followups
-            )
+        # Everything was answered; anything quoted after the clear is the
+        # blended-rate degraded answer.
+        assert len(quotes) >= len(requests)
+        assert any(not q.degraded for q in quotes)  # priced before the clear
+        degraded = [q for q in quotes if q.degraded]
+        assert degraded
+        for quote in degraded:
+            assert quote.unit_price == pytest.approx(P0)
+            assert quote.tier is None
 
-            # Recovery is automatic on the next publish.
-            snapshot = publish(registry)
-            recovered = server.quote_many(requests[:32])
-            assert all(not q.degraded for q in recovered)
-            assert all(
-                q.snapshot_digest == snapshot.digest for q in recovered
-            )
+        # The registry is empty: every subsequent quote degrades.
+        followups = engine.quote_batch(requests[:32])
+        assert all(q.degraded for q in followups)
+        assert all(q.unit_price == pytest.approx(P0) for q in followups)
+
+        # Recovery is automatic on the next publish.
+        snapshot = publish(registry)
+        recovered = engine.quote_batch(requests[:32])
+        assert all(not q.degraded for q in recovered)
+        assert all(q.snapshot_digest == snapshot.digest for q in recovered)
 
 
 # ----------------------------------------------------------------------
@@ -666,17 +514,3 @@ class TestLoadGenerator:
             1 for r in requests if r.dst.startswith("198.51.100.")
         )
         assert 0.1 < unknown / len(requests) < 0.45
-
-    def test_run_load_accounts_for_every_request(self, registry, engine):
-        publish(registry)
-        requests = generate_requests(
-            300, seed=6, snapshot=registry.current(), unknown_fraction=0.2
-        )
-        with QuoteServer(engine, ServeConfig(workers=2, queue_depth=512)) as server:
-            report = run_load(server, requests, burst=64)
-        assert report.answered + report.timed_out == report.n_requests
-        assert report.answered == report.priced + report.degraded
-        assert report.priced > 0
-        assert report.quotes_per_second > 0
-        assert "p99" in report.latency_ms
-        assert "quotes/s" in report.render()

@@ -11,7 +11,6 @@ from repro.core.flow import FlowSet
 from repro.errors import ConfigurationError, DataError
 from repro.netflow.records import FlowKey, NetFlowRecord, PROTO_TCP, RecordBatch
 from repro.stream import (
-    BoundedQueue,
     DemandShift,
     DesignPublication,
     OnlineRepricer,
@@ -79,63 +78,6 @@ def make_pipeline(source, trace, checkpoint_path=None, **overrides):
         config=StreamConfig(**defaults),
         checkpoint_path=checkpoint_path,
     )
-
-
-class TestBoundedQueue:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            BoundedQueue(0)
-        with pytest.raises(ConfigurationError, match="policy"):
-            BoundedQueue(4, policy="spill")
-
-    def test_block_policy_refuses_when_full(self):
-        q = BoundedQueue(2, policy="block")
-        assert q.offer(record(key(1), 0, 1))
-        assert q.offer(record(key(2), 0, 2))
-        assert not q.offer(record(key(3), 0, 3))
-        assert q.blocked == 1
-        assert q.dropped == 0
-        assert [r.last_ms for r in q.drain()] == [1, 2]
-        assert q.offer(record(key(3), 0, 3))
-
-    def test_drop_oldest_policy_sheds_head(self):
-        q = BoundedQueue(2, policy="drop-oldest")
-        for n in (1, 2, 3):
-            assert q.offer(record(key(n), 0, n))
-        assert q.dropped == 1
-        assert [r.last_ms for r in q.drain()] == [2, 3]
-
-    def test_on_evict_sees_each_shed_item(self):
-        """Shed items are handed to the hook, not silently lost — the
-        quote server uses this to answer evicted requests degraded."""
-        q = BoundedQueue(2, policy="drop-oldest")
-        evicted = []
-        q.on_evict = evicted.append
-        for n in (1, 2, 3, 4):
-            assert q.offer(record(key(n), 0, n))
-        assert [r.last_ms for r in evicted] == [1, 2]
-        assert q.dropped == 2
-        assert [r.last_ms for r in q.drain()] == [3, 4]
-
-    def test_on_evict_not_called_under_block_policy(self):
-        q = BoundedQueue(1, policy="block")
-        evicted = []
-        q.on_evict = evicted.append
-        assert q.offer(record(key(1), 0, 1))
-        assert not q.offer(record(key(2), 0, 2))
-        assert evicted == []
-
-    def test_snapshot_and_restore(self):
-        q = BoundedQueue(4)
-        q.offer(record(key(1), 0, 1))
-        snap = q.snapshot()
-        assert len(q) == 1  # snapshot is non-destructive
-        q2 = BoundedQueue(4)
-        q2.restore(snap, {"dropped": 2, "blocked": 1, "high_watermark": 3})
-        assert len(q2) == 1
-        assert q2.dropped == 2
-        with pytest.raises(ConfigurationError):
-            BoundedQueue(1).restore([record(key(1), 0, 1)] * 2)
 
 
 class TestWindower:
