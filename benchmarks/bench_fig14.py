@@ -19,7 +19,7 @@ import time
 from repro.experiments import figure14_data
 from repro.experiments.render import render_envelope as render
 from repro.runtime import cache as runtime_cache
-from repro.runtime.metrics import METRICS
+from repro.obs import METRICS
 
 
 def assert_envelope_claims(data: dict, floor_at_2: float, floor_at_4: float) -> None:

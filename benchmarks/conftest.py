@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.runtime.metrics import METRICS
+from repro.obs import METRICS
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 

@@ -46,11 +46,6 @@ from typing import Any, Callable, Optional
 
 from repro.errors import ConfigurationError
 
-#: Deprecation-shim message prefix; the pytest gate allowlists warnings
-#: that start with this, while every other DeprecationWarning errors.
-DEPRECATION_PREFIX = "repro."
-
-
 def _env_int(name: str, text: str) -> int:
     try:
         return int(text)
@@ -631,7 +626,6 @@ class ObsConfig(_Resolvable):
 
 
 __all__ = [
-    "DEPRECATION_PREFIX",
     "EXECUTOR_BACKENDS",
     "MECHANISMS",
     "EcosystemConfig",

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from typing import Optional
 
@@ -485,21 +484,6 @@ class FlowSet:
         if key not in self._decoded:
             self._decoded[key] = decode_labels(codes, table)
         return self._decoded[key]
-
-    @property
-    def flows(self) -> "list[Flow]":
-        """Deprecated: the set materialized as per-record :class:`Flow` objects.
-
-        Kept as a compatibility shim; bulk code should read the columnar
-        arrays (``demands`` / ``distances`` / ``*_codes``) instead.
-        """
-        warnings.warn(
-            "FlowSet.flows materializes one Flow object per record; "
-            "use the columnar arrays (demands/distances/*_codes) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return [self[i] for i in range(len(self))]
 
     def __len__(self) -> int:
         return int(self._demands.size)

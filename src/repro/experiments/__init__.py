@@ -52,7 +52,6 @@ from repro.experiments.figures import (
 )
 from repro.experiments.runner import (
     build_market,
-    capture_by_strategy,
     demand_model,
     render_series_table,
     spec_for,
@@ -84,7 +83,6 @@ __all__ = [
     "ExperimentConfig",
     "THETA_VALUES",
     "build_market",
-    "capture_by_strategy",
     "demand_model",
     "figure1_data",
     "figure2_data",

@@ -12,10 +12,9 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from typing import Optional
 
-from repro.core.bundling import BundlingStrategy
 from repro.core.cost import CostModel
 from repro.core.demand import DemandModel
-from repro.core.market import Market, capture_table
+from repro.core.market import Market
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.runtime.spec import COST_FACTORIES, ExperimentSpec
 
@@ -80,20 +79,6 @@ def _speccable_cost(cost_model: CostModel) -> bool:
         return False
     default = type(cost_model)(theta=cost_model.theta)
     return vars(default) == vars(cost_model)
-
-
-def capture_by_strategy(
-    market: Market,
-    strategies: Sequence[BundlingStrategy],
-    bundle_counts: Sequence[int],
-) -> "dict[str, list[float]]":
-    """Profit-capture curves, one list per strategy.
-
-    A thin alias for :func:`repro.core.market.capture_table`, kept for
-    the drivers' vocabulary — both used to re-derive what
-    :meth:`Market.capture_curve` already computes.
-    """
-    return capture_table(market, strategies, bundle_counts)
 
 
 def render_series_table(

@@ -12,8 +12,10 @@ are correlated by ``id``) with::
     {"id": 7, "quotes": [{"unit_price": 14.25, "tier": 2, ...}, ...]}
 
 ``{"id": N, "op": "stats"}`` returns the fleet's operational snapshot.
-Malformed frames get an ``{"id": ..., "error": ...}`` reply; a frame
-too large to be honest closes the connection.
+A frame that is JSON but not a quote or stats request gets an
+``{"id": ..., "error": ...}`` reply, and a quote with a bad field gets
+its own ``{"error": ...}`` entry; a frame too large to be honest, or a
+body that is not JSON, closes the connection (``fleet.bad_frames``).
 
 Inside, the front door is a per-shard fan-in: each parsed request is
 routed by destination hash onto its shard's admission queue, a deque
@@ -23,8 +25,9 @@ blended-rate quote, counted in ``fleet.shed``.  One dispatcher task per
 shard gulps up to ``max_batch`` requests and round-trips them to its
 worker via :meth:`~repro.fleet.shard.ShardFleet.quote_shard` on an
 executor thread, so the event loop never blocks on a pipe and distinct
-shards price concurrently.  Admission, shedding and every degraded
-answer of the serving path live in this module.
+shards price concurrently.  Admission and shedding live in this
+module; every answer, degraded ones included, is built by
+:func:`~repro.serve.engine.quotes_from_columns`.
 """
 
 from __future__ import annotations
@@ -60,7 +63,13 @@ def encode_frame(payload: dict) -> bytes:
     return _FRAME_LEN.pack(len(body)) + body
 
 
-async def read_frame(reader: asyncio.StreamReader) -> dict:
+async def read_frame(reader: asyncio.StreamReader):
+    """Read one frame's JSON value.
+
+    Raises:
+        DataError: The length exceeds :data:`MAX_FRAME_BYTES`, or the
+            body is not UTF-8 JSON (too deep nesting included).
+    """
     header = await reader.readexactly(_FRAME_LEN.size)
     (length,) = _FRAME_LEN.unpack(header)
     if length > MAX_FRAME_BYTES:
@@ -68,7 +77,13 @@ async def read_frame(reader: asyncio.StreamReader) -> dict:
             f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte "
             "limit"
         )
-    return json.loads(await reader.readexactly(length))
+    body = await reader.readexactly(length)
+    try:
+        return json.loads(body)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers invalid UTF-8 and invalid JSON; a body nested
+        # too deep for the decoder raises RecursionError.
+        raise DataError(f"malformed frame: {exc}") from None
 
 
 def quote_to_wire(quote: Quote) -> dict:
@@ -172,9 +187,7 @@ class FrontDoor:
             while queue:
                 item = queue.popleft()
                 item.resolve(
-                    self.fleet._degraded_batch(
-                        [item.request], "front door stopped"
-                    )[0]
+                    self.fleet.degraded_quotes(1, "front door stopped")[0]
                 )
         if self._pool is not None:
             self._pool.shutdown(wait=True)
@@ -207,7 +220,7 @@ class FrontDoor:
                     BrokenPipeError,
                 ):
                     break
-                except (DataError, json.JSONDecodeError, UnicodeDecodeError):
+                except DataError:
                     METRICS.incr("fleet.bad_frames")
                     break  # unframeable input: the stream is unrecoverable
                 # Serve each frame in its own task so a big batch doesn't
@@ -303,9 +316,7 @@ class FrontDoor:
         METRICS.incr("fleet.shed")
         obs.event("fleet.shed")
         item.resolve(
-            self.fleet._degraded_batch(
-                [item.request], "shed by admission control"
-            )[0]
+            self.fleet.degraded_quotes(1, "shed by admission control")[0]
         )
 
     async def _dispatch_loop(self, sid: int) -> None:
@@ -330,9 +341,8 @@ class FrontDoor:
                 except asyncio.CancelledError:
                     # stop() cancelled us mid-round-trip; the batch still
                     # owes its callers an answer.
-                    quotes = self.fleet._degraded_batch(
-                        [item.request for item in batch],
-                        "front door stopped",
+                    quotes = self.fleet.degraded_quotes(
+                        len(batch), "front door stopped"
                     )
                     for item, quote in zip(batch, quotes):
                         item.resolve(quote)
@@ -416,6 +426,7 @@ class FleetClient:
             ConnectionResetError,
             BrokenPipeError,
             asyncio.CancelledError,
+            DataError,  # an unreadable reply ends the connection too
         ):
             pass
         finally:

@@ -43,9 +43,15 @@ from typing import Optional
 from repro import obs
 from repro.config import FleetConfig
 from repro.core.cost import CostModel
-from repro.errors import ConfigurationError
 from repro.obs import METRICS
-from repro.serve.engine import Quote, QuoteEngine, QuoteRequest
+from repro.serve.engine import (
+    Quote,
+    QuoteEngine,
+    QuoteRequest,
+    degraded_columns,
+    quotes_from_columns,
+    request_columns,
+)
 from repro.serve.registry import SnapshotRegistry
 from repro.serve.snapshot import PricingSnapshot
 from repro.fleet.shm import AttachedSnapshot, SharedSnapshot
@@ -66,71 +72,6 @@ def shard_of(dst: "Optional[str]", n_shards: int) -> int:
     if n_shards <= 1 or dst is None:
         return 0
     return zlib.crc32(dst.encode("utf-8")) % n_shards
-
-
-def _encode_batch(requests: "list[QuoteRequest]") -> tuple:
-    """Pick the wire shape for one shard-bound batch.
-
-    Batches where no request pins a ``region`` or ``regime`` — the hot
-    path — go over the pipe as three flat columns (``quotec``), which
-    pickle several times faster than object batches and let the worker
-    price without building a single ``QuoteRequest``.  Anything fancier
-    falls back to the object wire (``quote``).
-    """
-    for request in requests:
-        if request.region is not None or request.regime is not None:
-            return ("quote", requests)
-    return (
-        "quotec",
-        [r.dst for r in requests],
-        [r.volume_mbps for r in requests],
-        [r.distance_miles for r in requests],
-    )
-
-
-def _quotes_from_columns(payload: dict, n: int) -> "list[Quote]":
-    """Rebuild ``Quote`` objects from a ``quotesc`` columnar payload.
-
-    Field-for-field identical to what the worker's engine would have
-    built (the fleet equality tests hold the two wires to the same
-    answers)."""
-    if payload["degraded"]:
-        blended = float(payload["blended"])
-        version = payload["version"]
-        digest = payload["digest"]
-        reason = payload["reason"]
-        return [
-            Quote(
-                unit_price=blended,
-                tier=None,
-                known=False,
-                degraded=True,
-                snapshot_version=version,
-                snapshot_digest=digest,
-                reason=reason,
-            )
-            for _ in range(n)
-        ]
-    version = payload["version"]
-    digest = payload["digest"]
-    return [
-        Quote(
-            unit_price=price,
-            tier=tier if tier else None,
-            known=tier != 0,
-            degraded=False,
-            unit_cost=cost,
-            profit_contribution=profit,
-            snapshot_version=version,
-            snapshot_digest=digest,
-        )
-        for price, tier, cost, profit in zip(
-            payload["prices"].tolist(),
-            payload["tiers"].tolist(),
-            payload["unit_costs"].tolist(),
-            payload["profits"].tolist(),
-        )
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -182,13 +123,9 @@ def _shard_main(
                 break
             op = message[0]
             if op == "quotec":
-                _, batch_id, dsts, volumes, distances = message
-                payload = engine.quote_columns(dsts, volumes, distances)
+                _, batch_id, *columns = message
+                payload = engine.quote_columns(*columns)
                 conn.send(("quotesc", batch_id, payload, registry.version))
-            elif op == "quote":
-                _, batch_id, requests = message
-                quotes = engine.quote_batch(requests)
-                conn.send(("quotes", batch_id, quotes, registry.version))
             elif op == "attach":
                 conn.send(("attached", _attach(message[1]), os.getpid()))
             elif op == "ping":
@@ -413,121 +350,52 @@ class ShardFleet:
     # Quoting
     # ------------------------------------------------------------------
 
-    def quote_batch(
-        self,
-        requests: "list[QuoteRequest]",
-        timeout_s: "Optional[float]" = None,
-    ) -> "list[Quote]":
-        """Price a batch across shards (answers in request order).
-
-        The batch is partitioned by destination hash, sent to every
-        involved shard, then the replies are collected — shards price
-        their partitions concurrently.
-        """
-        if not self._running:
-            raise ConfigurationError(
-                "shard fleet is not running (call start() or use it as a "
-                "context manager)"
-            )
-        if not requests:
-            return []
-        if self.n_shards == 1:
-            return self.quote_shard(0, requests, timeout_s)
-        if timeout_s is None:
-            timeout_s = self.config.timeout_ms / 1000.0
-        parts: "dict[int, list[int]]" = {}
-        for i, request in enumerate(requests):
-            parts.setdefault(
-                shard_of(request.dst, self.n_shards), []
-            ).append(i)
-        quotes: "list[Optional[Quote]]" = [None] * len(requests)
-
-        def _fill(indices: "list[int]", answers: "list[Quote]") -> None:
-            for i, quote in zip(indices, answers):
-                quotes[i] = quote
-
-        # Two phases so shards price their partitions concurrently:
-        # send to every involved shard first (locks taken in index order,
-        # so concurrent batches cannot deadlock), then collect replies.
-        in_flight = []
-        try:
-            for sid, indices in sorted(parts.items()):
-                part = [requests[i] for i in indices]
-                shard = self._shards[sid]
-                if shard is None or shard.dead:
-                    _fill(indices, self._degraded_batch(part, "shard down"))
-                    continue
-                with self._batch_lock:
-                    self._batch_counter += 1
-                    batch_id = self._batch_counter
-                kind, *wire = _encode_batch(part)
-                shard.lock.acquire()
-                try:
-                    shard.conn.send((kind, batch_id, *wire))
-                except (OSError, BrokenPipeError, ValueError):
-                    self._declare_dead(shard)
-                    shard.lock.release()
-                    _fill(
-                        indices, self._degraded_batch(part, "shard crashed")
-                    )
-                    continue
-                in_flight.append((shard, batch_id, indices, part))
-            for shard, batch_id, indices, part in in_flight:
-                try:
-                    _fill(
-                        indices,
-                        self._collect_quotes(shard, batch_id, len(part), timeout_s),
-                    )
-                except (EOFError, OSError, TimeoutError):
-                    self._declare_dead(shard)
-                    _fill(
-                        indices, self._degraded_batch(part, "shard crashed")
-                    )
-        finally:
-            for shard, _, _, _ in in_flight:
-                shard.lock.release()
-        return quotes  # type: ignore[return-value]
-
     def quote_shard(
         self,
         shard_id: int,
         requests: "list[QuoteRequest]",
         timeout_s: "Optional[float]" = None,
     ) -> "list[Quote]":
-        """Round-trip one batch to one shard (the front door's unit)."""
+        """Round-trip one batch to one shard (the front door's unit).
+
+        The batch crosses the pipe as the columns of
+        :func:`~repro.serve.engine.request_columns` and comes back as the
+        shard engine's :meth:`~repro.serve.engine.QuoteEngine.quote_columns`
+        payload.  Route a batch with :func:`shard_of` first: a shard
+        prices any destination it is sent.
+        """
         if timeout_s is None:
             timeout_s = self.config.timeout_ms / 1000.0
         shard = self._shards[shard_id]
         if shard is None or shard.dead:
-            return self._degraded_batch(requests, "shard down")
+            return self.degraded_quotes(len(requests), "shard down")
         with self._batch_lock:
             self._batch_counter += 1
             batch_id = self._batch_counter
-        kind, *wire = _encode_batch(requests)
+        columns = request_columns(requests)
         with shard.lock:
             if shard.dead:
-                return self._degraded_batch(requests, "shard down")
+                return self.degraded_quotes(len(requests), "shard down")
             try:
-                shard.conn.send((kind, batch_id, *wire))
-                return self._collect_quotes(
-                    shard, batch_id, len(requests), timeout_s
-                )
+                shard.conn.send(("quotec", batch_id, *columns))
+                reply = self._recv(shard, timeout_s)
+                if reply[0] != "quotesc" or reply[1] != batch_id:
+                    raise OSError(f"mismatched reply {reply[:2]!r}")
             except (EOFError, OSError, BrokenPipeError, TimeoutError):
                 self._declare_dead(shard)
-                return self._degraded_batch(requests, "shard crashed")
-
-    def _collect_quotes(
-        self, shard: _Shard, batch_id: int, n: int, timeout_s: float
-    ) -> "list[Quote]":
-        """One quote reply off the pipe, either wire shape (caller holds
-        the shard lock and handles the error → degraded translation)."""
-        reply = self._recv(shard, timeout_s)
-        if reply[0] not in ("quotes", "quotesc") or reply[1] != batch_id:
-            raise OSError(f"mismatched reply {reply[:2]!r}")
+                return self.degraded_quotes(len(requests), "shard crashed")
         METRICS.incr("fleet.batches")
-        if reply[0] == "quotesc":
-            return _quotes_from_columns(reply[2], n)
-        return reply[2]
+        return quotes_from_columns(reply[2], len(requests))
+
+    def degraded_quotes(self, n: int, reason: str) -> "list[Quote]":
+        """``n`` blended-rate answers for requests no shard priced,
+        counted in ``fleet.degraded``."""
+        METRICS.incr("fleet.degraded", n)
+        obs.event("fleet.degraded", reason=reason, requests=n)
+        return quotes_from_columns(
+            degraded_columns(reason, self._snapshot, self.fallback_blended_rate),
+            n,
+        )
 
     def _recv(self, shard: _Shard, timeout_s: float):
         """``recv`` with a deadline (caller holds the shard lock)."""
@@ -536,30 +404,6 @@ class ShardFleet:
                 f"shard {shard.index} did not reply within {timeout_s} s"
             )
         return shard.conn.recv()
-
-    def _degraded_batch(
-        self, requests: "list[QuoteRequest]", reason: str
-    ) -> "list[Quote]":
-        snapshot = self._snapshot
-        blended = (
-            self.fallback_blended_rate
-            if snapshot is None
-            else snapshot.blended_rate
-        )
-        METRICS.incr("fleet.degraded", len(requests))
-        obs.event("fleet.degraded", reason=reason, requests=len(requests))
-        return [
-            Quote(
-                unit_price=float(blended),
-                tier=None,
-                known=False,
-                degraded=True,
-                snapshot_version=None if snapshot is None else snapshot.version,
-                snapshot_digest=None if snapshot is None else snapshot.digest,
-                reason=reason,
-            )
-            for _ in requests
-        ]
 
     # ------------------------------------------------------------------
     # Liveness

@@ -14,8 +14,7 @@ degraded quote can be attributed to the stage that caused it:
   loading, and the per-stage :func:`summarize_trace` rollup behind
   ``python -m repro trace summarize``.
 * :mod:`repro.obs.metrics` — the process-global :data:`METRICS`
-  registry of counters, stage timers, and latency reservoirs (moved
-  here from ``repro.runtime.metrics``, which remains an alias).
+  registry of counters, stage timers, and latency reservoirs.
 
 Spans and counters share one export: :func:`to_json` merges the metrics
 snapshot with the active tracer's per-stage span rollup — the payload

@@ -9,9 +9,7 @@ machine-readable perf trail under ``benchmarks/output/``.
 
 This module lives under :mod:`repro.obs` so counters and spans share one
 observability surface — :func:`repro.obs.to_json` merges this registry's
-snapshot with the active tracer's span rollup into a single export.  The
-old import path, :mod:`repro.runtime.metrics`, remains a compatible
-alias.
+snapshot with the active tracer's span rollup into a single export.
 
 The registry is deliberately tiny — a dict of counters, a dict of
 ``{seconds, calls}`` stage timers, and a dict of bounded latency

@@ -7,7 +7,6 @@ from repro.peering.bypass import (
     BypassTable,
     bypass_for_flows,
     failure_window,
-    sweep_direct_costs,
 )
 from repro.peering.offerings import (
     BlendedRateOffering,
@@ -49,5 +48,4 @@ __all__ = [
     "figure1_example",
     "offerings_for_flows",
     "render_offerings",
-    "sweep_direct_costs",
 ]

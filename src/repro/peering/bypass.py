@@ -27,18 +27,11 @@ Two evaluation surfaces:
   sweep (:meth:`BypassTable.evaluate`) or straight from a calibrated
   market's per-flow cost columns (:meth:`BypassTable.from_market`,
   :func:`bypass_for_flows`), no per-object Python loop.
-
-.. deprecated::
-    :func:`sweep_direct_costs` (one ``BypassScenario`` object per sweep
-    point) is a shim over :meth:`BypassTable.evaluate` and will be
-    removed; call the columnar API directly.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -233,7 +226,7 @@ class BypassTable:
         )
 
     def points(self) -> "list[BypassSweepPoint]":
-        """Per-object compat view (what :func:`sweep_direct_costs` returned)."""
+        """The sweep as one :class:`BypassSweepPoint` per direct-link cost."""
         return [
             BypassSweepPoint(
                 direct_unit_cost=float(self.direct_unit_costs[i]),
@@ -269,38 +262,6 @@ def bypass_for_flows(
         margin=margin,
         accounting_overhead=accounting_overhead,
     )
-
-
-def sweep_direct_costs(
-    blended_rate: float,
-    isp_unit_cost: float,
-    direct_unit_costs: Sequence[float],
-    margin: float = 0.25,
-    accounting_overhead: float = 0.0,
-) -> "list[BypassSweepPoint]":
-    """Evaluate the bypass decision across a range of private-link costs.
-
-    The sweep exposes the three regimes of §2.2.2: below the tiered price
-    the bypass is efficient, between the tiered price and the blended rate
-    it is a market failure, and above the blended rate the customer stays.
-
-    .. deprecated::
-        One ``BypassScenario`` object per point; use
-        :meth:`BypassTable.evaluate` (same numbers, columnar).
-    """
-    warnings.warn(
-        "repro.peering.sweep_direct_costs is deprecated; use "
-        "BypassTable.evaluate(...) (columnar, byte-identical)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return BypassTable.evaluate(
-        blended_rate=blended_rate,
-        isp_unit_costs=isp_unit_cost,
-        direct_unit_costs=np.asarray(direct_unit_costs, dtype=np.float64),
-        margin=margin,
-        accounting_overhead=accounting_overhead,
-    ).points()
 
 
 def failure_window(

@@ -17,19 +17,18 @@ three pillars:
   calibrated markets, and spec results: in-memory always, mirrored to
   disk under ``.repro_cache/`` when configured (``REPRO_CACHE_DIR``).
 * :data:`METRICS` — the process-global registry of counters and stage
-  timers every layer reports into.  It now lives in
-  :mod:`repro.obs.metrics` (one observability package with the tracer);
-  ``repro.runtime.metrics`` remains a compatible alias.
+  timers every layer reports into, re-exported from
+  :mod:`repro.obs.metrics` (one observability package with the tracer).
 
 The declarative tie-in is :class:`~repro.runtime.spec.ExperimentSpec` +
 :func:`~repro.runtime.spec.run_specs`: drivers build spec lists and the
 runtime decides what is cached, what fans out, and what gets counted.
 """
 
-# Exports resolve lazily (PEP 562): the model layer imports
-# ``repro.runtime.metrics`` for instrumentation, and an eager package
+# Exports resolve lazily (PEP 562): lower layers (``repro.synth``,
+# ``repro.serve``) import ``repro.runtime.cache``, and an eager package
 # init would close an import cycle back through ``repro.runtime.spec``
-# (which imports the model layer).
+# (which imports those layers).
 _EXPORTS = {
     "CacheStore": "repro.runtime.cache",
     "cache_enabled": "repro.runtime.cache",

@@ -486,6 +486,12 @@ class SocketExecutor(Executor):
                 )
             conns = list(self._conns)
         try:
+            # Closing alone does not wake a thread blocked in accept() on
+            # Linux; shutting the listener down first does.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:
             pass
@@ -536,12 +542,15 @@ class SocketExecutor(Executor):
                     conn.pid = frame.get("pid")
                 elif op == "pull":
                     send_frame(sock, self._assignment_for(conn))
-                elif op == "heartbeat":
-                    self._record_heartbeat(frame.get("lease"))
-                elif op == "result":
-                    self._record_result(frame)
-                elif op == "error":
-                    self._record_error(frame)
+                elif op in ("heartbeat", "result", "error"):
+                    if not isinstance(frame.get("lease"), str):
+                        raise DataError(f"{op} frame without a string lease")
+                    if op == "heartbeat":
+                        self._record_heartbeat(frame["lease"])
+                    elif op == "result":
+                        self._record_result(frame)
+                    else:
+                        self._record_error(frame)
                 # unknown ops fall through (forward compatibility)
         except (OSError, DataError, ValueError):
             pass
@@ -577,7 +586,7 @@ class SocketExecutor(Executor):
                 "trace": state.traces[index],
             }
 
-    def _record_heartbeat(self, lease: "Optional[str]"):
+    def _record_heartbeat(self, lease: str):
         with self._lock:
             state = self._state
             if state is None or lease not in state.leases:

@@ -7,10 +7,13 @@ from the same cost-model plumbing the batch pipeline calibrates with
 (``c = gamma * f``, :class:`~repro.core.cost.CostModel` relative costs
 scaled by the snapshot's calibration).
 
-Batches are the native shape: one snapshot grab, one vectorized
-destination→tier lookup, one cost-model pass over the whole batch — no
-per-flow Python loop.  :meth:`QuoteEngine.quote` is the one-element
-special case.
+Batches are the native shape, and columns are the native batch:
+:meth:`QuoteEngine.quote_columns` is the one pricing core (one snapshot
+grab, one vectorized destination→tier lookup, one cost-model pass — no
+per-flow Python loop), and :func:`quotes_from_columns` is the one place
+:class:`Quote` objects are built.  :meth:`QuoteEngine.quote_batch` and
+:meth:`QuoteEngine.quote` are adapters over the two; the shard fleet
+sends the same columns over its pipes.
 
 Degradation, not exceptions, is the failure mode: with no snapshot
 published (or a request pinned to a different regime than the active
@@ -29,12 +32,12 @@ from typing import Optional
 import numpy as np
 
 from repro.core.cost import CostModel
-from repro.core.flow import FlowSet, REGION_CODE, VALID_REGIONS
+from repro.core.flow import FlowSet, VALID_REGIONS, encode_regions
 from repro.errors import ConfigurationError, DataError
 from repro import obs
 from repro.obs import METRICS
 from repro.serve.registry import SnapshotRegistry
-from repro.serve.snapshot import PricingSnapshot, UNKNOWN_TIER
+from repro.serve.snapshot import PricingSnapshot
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,6 +62,17 @@ class QuoteRequest:
     regime: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # Straight-line checks: every front-door quote builds a request.
+        if not (isinstance(self.dst, str) or self.dst is None):
+            raise DataError(
+                f"quote dst must be a string or null, got "
+                f"{type(self.dst).__name__}"
+            )
+        if not (self.regime is None or isinstance(self.regime, str)):
+            raise DataError(
+                f"quote regime must be a string or null, got "
+                f"{type(self.regime).__name__}"
+            )
         if not math.isfinite(self.volume_mbps) or self.volume_mbps <= 0:
             raise DataError(
                 f"quote volume must be positive, got {self.volume_mbps!r}"
@@ -142,121 +156,34 @@ class QuoteEngine:
     def quote_batch(self, requests: "Sequence[QuoteRequest]") -> "list[Quote]":
         """Price a batch under one consistent snapshot.
 
-        The snapshot reference is grabbed once, so every quote in the
-        batch is answered by the same published state even if swaps land
-        mid-batch.
+        An adapter over :meth:`quote_columns`: the requests become
+        columns, the columns are priced, and :func:`quotes_from_columns`
+        builds the answers.  A region label or a pinned regime applies
+        to its own request only, whatever else shares the batch.
         """
         requests = list(requests)
         if not requests:
             return []
-        snapshot = self.registry.current()
-        METRICS.incr("serve.quotes", len(requests))
-        if snapshot is None:
-            METRICS.incr("serve.degraded", len(requests))
-            obs.event(
-                "engine.degraded",
-                reason="no snapshot published",
-                requests=len(requests),
-            )
-            return [
-                self.degraded_quote(r, reason="no snapshot published")
-                for r in requests
-            ]
+        payload = self.quote_columns(*request_columns(requests))
+        return quotes_from_columns(payload, len(requests))
 
-        # Requests pinned to a different regime degrade individually; the
-        # rest price on the active snapshot.
-        quotes: "list[Optional[Quote]]" = [None] * len(requests)
-        live = []
-        for i, request in enumerate(requests):
-            if request.regime is not None and request.regime != snapshot.config_digest:
-                quotes[i] = self.degraded_quote(
-                    request,
-                    snapshot=snapshot,
-                    reason=(
-                        f"regime mismatch: request pinned "
-                        f"{request.regime[:12]}, active "
-                        f"{snapshot.config_digest[:12]}"
-                    ),
-                )
-                METRICS.incr("serve.degraded")
-                obs.event("engine.degraded", reason="regime mismatch")
-            else:
-                live.append(i)
-        if live:
-            for i, quote in zip(live, self._price(snapshot, [requests[i] for i in live])):
-                quotes[i] = quote
-        return quotes  # type: ignore[return-value]
+    def quote_columns(
+        self, dsts, volumes_mbps, distances_miles, regions=None, regimes=None
+    ) -> dict:
+        """Price a batch given as columns: the one pricing core.
 
-    def _price(
-        self, snapshot: PricingSnapshot, requests: "list[QuoteRequest]"
-    ) -> "list[Quote]":
-        """The vectorized hot path: lookup, cost, margin in numpy."""
-        with METRICS.stage("serve.lookup"):
-            dsts = ["" if r.dst is None else r.dst for r in requests]
-            tiers = snapshot.tiers_for(dsts)
-            prices = snapshot.prices_for_tiers(tiers)
-        with METRICS.stage("serve.cost"):
-            # QuoteRequest validated volume/distance/region on construction,
-            # so assemble the batch straight into columns on the
-            # pre-validated fast path — no per-request re-validation.
-            n = len(requests)
-            region_codes = None
-            if all(r.region is not None for r in requests):
-                region_codes = np.fromiter(
-                    (REGION_CODE[r.region] for r in requests),
-                    dtype=np.int32,
-                    count=n,
-                )
-            flows = FlowSet.from_columns(
-                np.fromiter((r.volume_mbps for r in requests), dtype=float, count=n),
-                np.fromiter(
-                    (r.distance_miles for r in requests), dtype=float, count=n
-                ),
-                region_codes=region_codes,
-                validate=False,
-            )
-            costed = self.cost_model.prepare_quotes(
-                flows, snapshot.reference_distance_miles
-            )
-            if len(costed.flows) != len(requests):
-                raise ConfigurationError(
-                    f"cost model {self.cost_model.name!r} splits flows "
-                    f"({len(requests)} requests became "
-                    f"{len(costed.flows)}); quote serving needs a "
-                    "non-splitting cost model"
-                )
-            unit_costs = snapshot.unit_costs(costed.relative_costs)
-            volumes = flows.demands
-            profits = (prices - unit_costs) * volumes
-        return [
-            Quote(
-                unit_price=float(prices[i]),
-                tier=None if tiers[i] == UNKNOWN_TIER else int(tiers[i]),
-                known=bool(tiers[i] != UNKNOWN_TIER),
-                degraded=False,
-                unit_cost=float(unit_costs[i]),
-                profit_contribution=float(profits[i]),
-                snapshot_version=snapshot.version,
-                snapshot_digest=snapshot.digest,
-            )
-            for i in range(len(requests))
-        ]
+        ``regions`` and ``regimes`` are optional columns whose ``None``
+        entries mark rows without a label or pin.  The snapshot is
+        grabbed once, so every row is answered by the same published
+        state; a row pinned to another regime degrades on its own.
 
-    def quote_columns(self, dsts, volumes_mbps, distances_miles) -> dict:
-        """The columnar twin of :meth:`quote_batch`, for process pipes.
-
-        Equivalent to pricing ``QuoteRequest`` objects that carry no
-        ``region``/``regime``, but takes three flat columns and returns a
-        dict of numpy arrays — a payload that pickles at buffer-copy
-        speed, with no per-request objects built on either side.  The
-        fleet's shard wire uses this for every batch that qualifies;
-        callers rebuild :class:`Quote` objects (or wire dicts) from the
-        columns exactly once, at the edge that needs them.
-
-        Returns ``{"degraded": True, "reason", "blended", "version",
-        "digest"}`` when no snapshot is published, else ``{"degraded":
-        False, "prices", "tiers", "unit_costs", "profits", "version",
-        "digest"}`` with arrays aligned to the input columns.
+        Returns a dict of flat columns that pickles at buffer-copy speed
+        (the shard pipe carries it as is) and that
+        :func:`quotes_from_columns` turns into quotes: the
+        :func:`degraded_columns` payload when no snapshot is published,
+        else ``prices``, ``tiers``, ``unit_costs`` and ``profits`` arrays
+        aligned to the input plus ``reasons``, the degraded rows' reasons
+        by row (``None`` when every row priced).
         """
         n = len(dsts)
         METRICS.incr("serve.quotes", n)
@@ -268,13 +195,20 @@ class QuoteEngine:
                 reason="no snapshot published",
                 requests=n,
             )
-            return {
-                "degraded": True,
-                "reason": "no snapshot published",
-                "blended": self.fallback_blended_rate,
-                "version": None,
-                "digest": None,
-            }
+            return degraded_columns(
+                "no snapshot published", None, self.fallback_blended_rate
+            )
+        reasons = {}
+        if regimes is not None:
+            active = snapshot.config_digest
+            for i, regime in enumerate(regimes):
+                if regime is not None and regime != active:
+                    reasons[i] = (
+                        f"regime mismatch: request pinned {regime[:12]}, "
+                        f"active {active[:12]}"
+                    )
+                    METRICS.incr("serve.degraded")
+                    obs.event("engine.degraded", reason="regime mismatch")
         with METRICS.stage("serve.lookup"):
             tiers = snapshot.tiers_for(
                 ["" if dst is None else dst for dst in dsts]
@@ -284,18 +218,20 @@ class QuoteEngine:
             flows = FlowSet.from_columns(
                 np.asarray(volumes_mbps, dtype=float),
                 np.asarray(distances_miles, dtype=float),
+                region_codes=encode_regions(regions, n),
                 validate=False,
             )
-            costed = self.cost_model.prepare_quotes(
-                flows, snapshot.reference_distance_miles
-            )
-            if len(costed.flows) != n:
-                raise ConfigurationError(
-                    f"cost model {self.cost_model.name!r} splits flows "
-                    f"({n} requests became {len(costed.flows)}); quote "
-                    "serving needs a non-splitting cost model"
-                )
-            unit_costs = snapshot.unit_costs(costed.relative_costs)
+            if not reasons:
+                unit_costs = self._unit_costs(snapshot, flows)
+            else:
+                # Cost the live rows alone, so a degraded row never moves
+                # the frame of a batch-normalized cost model.
+                unit_costs = np.full(n, np.nan)
+                live = np.setdiff1d(np.arange(n), list(reasons))
+                if live.size:
+                    unit_costs[live] = self._unit_costs(
+                        snapshot, flows.subset(live)
+                    )
             profits = (prices - unit_costs) * flows.demands
         return {
             "degraded": False,
@@ -303,29 +239,116 @@ class QuoteEngine:
             "tiers": tiers,
             "unit_costs": unit_costs,
             "profits": profits,
+            "blended": snapshot.blended_rate,
             "version": snapshot.version,
             "digest": snapshot.digest,
+            "reasons": reasons or None,
         }
 
-    def degraded_quote(
-        self,
-        request: QuoteRequest,
-        snapshot: "Optional[PricingSnapshot]" = None,
-        reason: str = "degraded",
-    ) -> Quote:
-        """The blended-rate safe answer (no tier/cost attribution)."""
-        del request
-        blended = (
-            self.fallback_blended_rate
-            if snapshot is None
-            else snapshot.blended_rate
+    def _unit_costs(
+        self, snapshot: PricingSnapshot, flows: FlowSet
+    ) -> np.ndarray:
+        """Calibrated unit costs of pre-validated flows (an unlabelled
+        flow's region code is ``NO_LABEL``)."""
+        costed = self.cost_model.prepare_quotes(
+            flows, snapshot.reference_distance_miles
         )
-        return Quote(
-            unit_price=float(blended),
+        if len(costed.flows) != len(flows):
+            raise ConfigurationError(
+                f"cost model {self.cost_model.name!r} splits flows "
+                f"({len(flows)} requests became {len(costed.flows)}); quote "
+                "serving needs a non-splitting cost model"
+            )
+        return snapshot.unit_costs(costed.relative_costs)
+
+
+# ----------------------------------------------------------------------
+# Columns in, quotes out
+# ----------------------------------------------------------------------
+
+
+def request_columns(requests: "Sequence[QuoteRequest]") -> tuple:
+    """Requests as the columns :meth:`QuoteEngine.quote_columns` takes.
+
+    The ``regions`` and ``regimes`` columns are ``None`` unless some
+    request carries a region or a regime, so an unpinned batch is three
+    flat lists.
+    """
+    pinned = False
+    for r in requests:  # a plain loop: this runs once per quote served
+        if r.region is not None or r.regime is not None:
+            pinned = True
+            break
+    return (
+        [r.dst for r in requests],
+        [r.volume_mbps for r in requests],
+        [r.distance_miles for r in requests],
+        [r.region for r in requests] if pinned else None,
+        [r.regime for r in requests] if pinned else None,
+    )
+
+
+def degraded_columns(
+    reason: str,
+    snapshot: "Optional[PricingSnapshot]",
+    fallback_blended_rate: float,
+) -> dict:
+    """The payload of a batch answered wholly at the blended rate: the
+    snapshot's, or ``fallback_blended_rate`` when there is none."""
+    return {
+        "degraded": True,
+        "reason": reason,
+        "blended": (
+            fallback_blended_rate if snapshot is None else snapshot.blended_rate
+        ),
+        "version": None if snapshot is None else snapshot.version,
+        "digest": None if snapshot is None else snapshot.digest,
+    }
+
+
+def quotes_from_columns(payload: dict, n: int) -> "list[Quote]":
+    """Build the ``n`` quotes of one :meth:`QuoteEngine.quote_columns` or
+    :func:`degraded_columns` payload.
+
+    The one place quotes are made: the engine, the shard fleet and the
+    front door all answer through it, degraded answers included.
+    Degraded quotes price at the blended rate with no tier, cost or
+    profit attribution.
+    """
+    version = payload["version"]
+    digest = payload["digest"]
+    if payload["degraded"]:
+        quotes: "list[Optional[Quote]]" = [None] * n
+        reasons = dict.fromkeys(range(n), payload["reason"])
+    else:
+        quotes = [
+            Quote(
+                unit_price=price,
+                tier=tier if tier else None,  # UNKNOWN_TIER is 0
+                known=tier != 0,
+                degraded=False,
+                unit_cost=cost,
+                profit_contribution=profit,
+                snapshot_version=version,
+                snapshot_digest=digest,
+            )
+            for price, tier, cost, profit in zip(
+                payload["prices"].tolist(),
+                payload["tiers"].tolist(),
+                payload["unit_costs"].tolist(),
+                payload["profits"].tolist(),
+            )
+        ]
+        reasons = payload["reasons"] or {}
+    blended = float(payload["blended"])
+    for i, reason in reasons.items():
+        quotes[i] = Quote(
+            unit_price=blended,
             tier=None,
             known=False,
             degraded=True,
-            snapshot_version=None if snapshot is None else snapshot.version,
-            snapshot_digest=None if snapshot is None else snapshot.digest,
+            snapshot_version=version,
+            snapshot_digest=digest,
             reason=reason,
         )
+    return quotes  # type: ignore[return-value]

@@ -21,7 +21,6 @@ def generate_requests(
     seed: int = 0,
     snapshot: "Optional[PricingSnapshot]" = None,
     unknown_fraction: float = 0.2,
-    regime: "Optional[str]" = None,
 ) -> "list[QuoteRequest]":
     """A seeded, reproducible request mix.
 
@@ -49,7 +48,6 @@ def generate_requests(
                 dst=dst,
                 volume_mbps=float(volumes[i]),
                 distance_miles=float(distances[i]),
-                regime=regime,
             )
         )
     return requests

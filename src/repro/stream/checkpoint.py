@@ -3,11 +3,11 @@
 A checkpoint is one JSON document capturing everything the pipeline needs
 to resume exactly where it stopped: the source cursor (records consumed),
 the windower's buffered records and emission cursor, queued-but-unwindowed
-records, the tier design in force, every window result so far, and the
-backpressure counters.  All values are integers or ``repr``-round-tripping
-floats, so a killed-and-restored run replays the remaining stream to
-*bit-identical* window results — the end-to-end determinism test asserts
-this.
+records, the tier design in force and the size of its posted book, every
+window result so far, and the backpressure counters.  All values are
+integers or ``repr``-round-tripping floats, so a killed-and-restored run
+replays the remaining stream to *bit-identical* window results — the
+end-to-end determinism test asserts this.
 
 Checkpoints embed a digest of the pipeline configuration; restoring under
 a different window size, slide, threshold, or market model raises
@@ -45,6 +45,10 @@ class PipelineCheckpoint:
     queue_counters: dict
     design: "Optional[TierDesign]"
     results: "list[WindowResult]"
+    #: Leading tiers of ``design`` that are posted contracts (the book a
+    #: reclearing mechanism pins); ``None`` outside mechanism mode and in
+    #: checkpoints written before it was recorded.
+    posted_tiers: "Optional[int]" = None
 
 
 def record_to_dict(record: NetFlowRecord) -> dict:
@@ -107,6 +111,7 @@ def checkpoint_to_json(checkpoint: PipelineCheckpoint) -> str:
             else json.loads(design_to_json(checkpoint.design))
         ),
         "results": [dataclasses.asdict(r) for r in checkpoint.results],
+        "posted_tiers": checkpoint.posted_tiers,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -147,8 +152,16 @@ def checkpoint_from_json(text: str, expected_digest: str) -> PipelineCheckpoint:
         )
         results = [WindowResult(**r) for r in payload["results"]]
         consumed = int(payload["records_consumed"])
+        posted_tiers = payload.get("posted_tiers")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint JSON is missing or corrupt: {exc!r}") from exc
+    if posted_tiers is not None and (
+        type(posted_tiers) is not int or posted_tiers < 0
+    ):
+        raise DataError(
+            f"checkpoint posted_tiers must be a non-negative integer, got "
+            f"{posted_tiers!r}"
+        )
     return PipelineCheckpoint(
         config_digest=digest,
         records_consumed=consumed,
@@ -157,6 +170,7 @@ def checkpoint_from_json(text: str, expected_digest: str) -> PipelineCheckpoint:
         queue_counters=queue,
         design=design,
         results=results,
+        posted_tiers=posted_tiers,
     )
 
 

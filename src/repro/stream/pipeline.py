@@ -227,6 +227,7 @@ class StreamingPipeline:
             checkpoint.queue_counters,
         )
         self.repricer.design = checkpoint.design
+        self.repricer._posted_tiers = checkpoint.posted_tiers
         self.results = list(checkpoint.results)
         METRICS.incr("stream.restores")
 
@@ -242,6 +243,7 @@ class StreamingPipeline:
                 queue_counters=self.queue.counters(),
                 design=self.repricer.design,
                 results=self.results,
+                posted_tiers=self.repricer._posted_tiers,
             ),
             self.checkpoint_path,
         )

@@ -15,7 +15,7 @@ policies govern a full queue:
   fixed-size kernel socket buffer sheds load.
 
 Every drop and forced drain is counted locally and in the global
-:data:`~repro.runtime.metrics.METRICS` registry, so lossy runs are
+:data:`~repro.obs.METRICS` registry, so lossy runs are
 visible in the run report rather than silent.
 """
 

@@ -214,8 +214,8 @@ class OnlineRepricer:
         self.provider_asn = int(provider_asn)
         self.mechanism = mechanism
         #: Leading tiers of the design in force that are posted contracts
-        #: (mechanism mode only; ``None`` after a checkpoint restore, in
-        #: which case the next re-clear falls back to a full redesign).
+        #: (mechanism mode only; checkpointed with the design, so a
+        #: restored stream's next re-clear pins the same book).
         self._posted_tiers: "Optional[int]" = None
         #: The tier design currently in force (``None`` before the first
         #: successfully priced window).

@@ -109,7 +109,7 @@ class TestRuntimeFlags:
     def test_no_cache_flag_output_matches_cached(self, capsys):
         """--no-cache disables every cache layer but changes nothing."""
         from repro.runtime import cache as runtime_cache
-        from repro.runtime.metrics import METRICS
+        from repro.obs import METRICS
 
         cached_run = run_cli(capsys, "--flows", "24", "figure", "10")
         before = METRICS.counter("cache_hits")

@@ -67,6 +67,15 @@ HOSTILE_BODIES = [
     pytest.param(b"7", id="scalar"),
     pytest.param(b"[" * 100_000, id="deep-nesting"),  # RecursionError
 ]
+#: Well-formed frames a coordinator must still refuse: a lease is a string.
+HOSTILE_LEASE_BODIES = [
+    pytest.param(b'{"op": "heartbeat", "lease": [1]}', id="heartbeat-list-lease"),
+    pytest.param(
+        b'{"op": "result", "lease": [1], "index": 0, "result": {}}',
+        id="result-list-lease",
+    ),
+    pytest.param(b'{"op": "error", "lease": [1]}', id="error-list-lease"),
+]
 
 
 def _bytes(results) -> str:
@@ -185,7 +194,7 @@ class TestHostileFrames:
         assert not worker.is_alive()
         assert outcome == {"executed": 0}
 
-    @pytest.mark.parametrize("body", HOSTILE_BODIES)
+    @pytest.mark.parametrize("body", HOSTILE_BODIES + HOSTILE_LEASE_BODIES)
     def test_coordinator_drops_the_connection_and_reclaims_the_lease(
         self, fresh_cache, monkeypatch, body
     ):
@@ -391,6 +400,13 @@ class TestConformance:
 
 
 class TestSocketChaos:
+    def test_close_wakes_the_accept_thread(self):
+        start = time.perf_counter()
+        executor = SocketExecutor(jobs=1, spawn=0)
+        executor.close()
+        assert time.perf_counter() - start < 1.0
+        assert not executor._accept_thread.is_alive()
+
     def test_worker_sigkill_mid_sweep_still_completes(self, fresh_cache):
         """Kill one of two workers after the first results; the survivor
         picks up the reclaimed leases and the sweep ends byte-identical."""

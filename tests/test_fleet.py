@@ -4,9 +4,11 @@ asyncio front door.  Run cleanly under ``-W error::ResourceWarning`` —
 leaked segments, pipes, or sockets are bugs here, not noise."""
 
 import asyncio
+import dataclasses
 import json
 import os
 import signal
+import struct
 import threading
 import time
 
@@ -17,10 +19,10 @@ from repro.accounting.tier_designer import TierDesign
 from repro.config import FleetConfig
 from repro.core.bundling import ProfitWeightedBundling
 from repro.core.ced import CEDDemand
-from repro.core.cost import LinearDistanceCost
+from repro.core.cost import LinearDistanceCost, RegionalCost
 from repro.core.flow import FlowSet
 from repro.core.market import Market
-from repro.errors import ConfigurationError, DataError
+from repro.errors import DataError
 from repro.fleet import (
     AttachedSnapshot,
     FleetClient,
@@ -32,6 +34,7 @@ from repro.fleet import (
     segment_name,
     shard_of,
 )
+from repro.fleet.frontdoor import encode_frame, quote_to_wire, read_frame
 from repro.obs import METRICS
 from repro.serve import (
     PricingSnapshot,
@@ -40,23 +43,26 @@ from repro.serve import (
     SnapshotRegistry,
     generate_requests,
 )
+from repro.serve.engine import quotes_from_columns
 from repro.stream.repricer import DesignPublication
 
 P0 = 20.0
 COST_MODEL = LinearDistanceCost(theta=0.2)
 
 
-def make_market(scale=1.0):
+def make_market(scale=1.0, cost_model=COST_MODEL):
     flows = FlowSet(
         demands_mbps=[800.0 * scale, 300.0, 120.0, 60.0 * scale, 20.0, 5.0],
         distances_miles=[2.0, 15.0, 60.0, 250.0, 900.0, 4000.0],
         dsts=[f"10.0.{i}.1" for i in range(6)],
     )
-    return Market(flows, CEDDemand(1.1), COST_MODEL, P0)
+    return Market(flows, CEDDemand(1.1), cost_model, P0)
 
 
-def make_snapshot(scale=1.0, version=1, config_digest="regime-a"):
-    market = make_market(scale)
+def make_snapshot(
+    scale=1.0, version=1, config_digest="regime-a", cost_model=COST_MODEL
+):
+    market = make_market(scale, cost_model)
     outcome = market.tiered_outcome(ProfitWeightedBundling(), 3)
     design = TierDesign.from_outcome(market, outcome)
     return PricingSnapshot.build(
@@ -67,6 +73,10 @@ def make_snapshot(scale=1.0, version=1, config_digest="regime-a"):
         gamma=market.gamma,
         reference_distance_miles=float(market.flows.distances.max()),
     )
+
+
+def raw_frame(body):
+    return struct.pack(">I", len(body)) + body
 
 
 def shm_segments():
@@ -234,8 +244,6 @@ class TestQuoteColumns:
     """The columnar engine path the shard pipes ride on."""
 
     def test_columns_rebuild_to_the_exact_object_answers(self, snapshot):
-        from repro.fleet.shard import _quotes_from_columns
-
         registry = SnapshotRegistry()
         registry.adopt(snapshot)
         engine = QuoteEngine(registry, COST_MODEL, fallback_blended_rate=P0)
@@ -249,17 +257,15 @@ class TestQuoteColumns:
             [r.distance_miles for r in requests],
         )
         assert not payload["degraded"]
-        assert _quotes_from_columns(payload, len(requests)) == expected
+        assert quotes_from_columns(payload, len(requests)) == expected
 
     def test_degrades_as_a_whole_batch_without_a_snapshot(self):
-        from repro.fleet.shard import _quotes_from_columns
-
         engine = QuoteEngine(
             SnapshotRegistry(), COST_MODEL, fallback_blended_rate=P0
         )
         payload = engine.quote_columns(["10.0.0.1", None], [1.0, 2.0], [1.0, 9.0])
         assert payload["degraded"]
-        quotes = _quotes_from_columns(payload, 2)
+        quotes = quotes_from_columns(payload, 2)
         assert all(q.degraded for q in quotes)
         assert all(q.unit_price == pytest.approx(P0) for q in quotes)
         assert quotes[0].reason == "no snapshot published"
@@ -291,15 +297,34 @@ class TestRouting:
 # ----------------------------------------------------------------------
 
 
+def quote_routed(fleet, requests):
+    """Price ``requests`` shard by shard, each routed by ``shard_of`` (the
+    front door's routing, without its queues); answers in request order."""
+    parts = {}
+    for i, request in enumerate(requests):
+        parts.setdefault(shard_of(request.dst, fleet.n_shards), []).append(i)
+    quotes = [None] * len(requests)
+    for sid, indices in parts.items():
+        answers = fleet.quote_shard(sid, [requests[i] for i in indices])
+        for i, quote in zip(indices, answers):
+            quotes[i] = quote
+    return quotes
+
+
+def quote_frame(fleet, requests, config=None):
+    """Send ``requests`` through a front door over ``fleet`` as one frame."""
+
+    async def scenario():
+        async with FrontDoor(fleet, config) as door:
+            async with await FleetClient.connect(door.host, door.port) as client:
+                return await client.quote_batch(
+                    [dataclasses.asdict(r) for r in requests]
+                )
+
+    return asyncio.run(scenario())
+
+
 class TestShardFleet:
-    def test_requires_start(self, snapshot):
-        fleet = ShardFleet(COST_MODEL, FleetConfig(shards=1))
-        with pytest.raises(ConfigurationError):
-            fleet.quote_batch([QuoteRequest(dst="10.0.0.1")])
-
-    def test_empty_batch(self, fleet):
-        assert fleet.quote_batch([]) == []
-
     def test_quotes_match_the_in_process_engine(self, fleet, snapshot):
         requests = generate_requests(
             200, seed=7, snapshot=snapshot, unknown_fraction=0.25
@@ -308,35 +333,49 @@ class TestShardFleet:
         registry.adopt(snapshot)
         engine = QuoteEngine(registry, COST_MODEL, P0)
         expected = engine.quote_batch(requests)
-        actual = fleet.quote_batch(requests)
+        actual = quote_frame(fleet, requests)
         assert len(actual) == len(expected)
         for ours, theirs in zip(actual, expected):
-            assert ours.tier == theirs.tier
-            assert ours.known == theirs.known
-            assert not ours.degraded
-            assert ours.unit_price == pytest.approx(theirs.unit_price)
-            assert ours.unit_cost == pytest.approx(theirs.unit_cost)
-            assert ours.profit_contribution == pytest.approx(
+            assert ours["tier"] == theirs.tier
+            assert ours["known"] == theirs.known
+            assert not ours["degraded"]
+            assert ours["unit_price"] == pytest.approx(theirs.unit_price)
+            assert ours["unit_cost"] == pytest.approx(theirs.unit_cost)
+            assert ours["profit_contribution"] == pytest.approx(
                 theirs.profit_contribution
             )
-            assert ours.snapshot_digest == snapshot.digest
+            assert ours["snapshot_digest"] == snapshot.digest
             # The fleet stamps its own (fleet-wide) version.
-            assert ours.snapshot_version == fleet.version
+            assert ours["snapshot_version"] == fleet.version
 
-    def test_regime_pinned_requests_round_trip_the_object_wire(
-        self, fleet, snapshot
-    ):
-        # Pinned regimes disqualify a batch from the columnar wire; the
-        # object fallback must answer with the engine's exact semantics.
-        matched, mismatched = fleet.quote_batch(
-            [
-                QuoteRequest(dst="10.0.0.1", regime="regime-a"),
-                QuoteRequest(dst="10.0.0.1", regime="regime-z"),
-            ]
+    def test_pinned_regimes_and_regions_ride_the_one_wire(self):
+        # A regional fleet, so region labels move prices: each pinned
+        # request is answered by its own pin, whatever shares its frame.
+        cost_model = RegionalCost(theta=0.5)
+        snapshot = make_snapshot(cost_model=cost_model)
+        config = FleetConfig(shards=2, heartbeat_ms=25.0, timeout_ms=5000.0)
+        requests = [
+            QuoteRequest(dst="10.0.0.1", regime="regime-a"),
+            QuoteRequest(dst="10.0.0.1", regime="regime-z"),
+            QuoteRequest(dst="10.0.3.1", distance_miles=500.0, region="metro"),
+            QuoteRequest(dst="10.0.3.1", distance_miles=500.0),
+        ]
+        with ShardFleet(cost_model, config, fallback_blended_rate=P0) as fleet:
+            fleet.publish(snapshot)
+            matched, mismatched, metro, unlabelled = quote_frame(
+                fleet, requests
+            )
+            alone = quote_frame(fleet, requests[2:3])[0]
+        assert not matched["degraded"] and matched["known"]
+        assert mismatched["degraded"]
+        assert "regime mismatch" in mismatched["reason"]
+        assert mismatched["unit_price"] == pytest.approx(P0)
+        assert metro == alone
+        assert metro["unit_cost"] == pytest.approx(snapshot.gamma)
+        assert unlabelled["unit_cost"] == pytest.approx(
+            snapshot.gamma * 3.0**0.5
         )
-        assert not matched.degraded and matched.known
-        assert mismatched.degraded
-        assert "regime mismatch" in mismatched.reason
+        assert shm_segments() == []
 
     def test_distinct_worker_pids(self, fleet):
         pids = fleet.pids()
@@ -355,21 +394,22 @@ class TestShardFleet:
         fresh = shm_segments()
         assert len(fresh) == 1
         assert fresh != old_segments
-        quotes = fleet.quote_batch(
-            [QuoteRequest(dst="10.0.0.1", volume_mbps=1.0, distance_miles=2.0)]
+        quotes = fleet.quote_shard(
+            shard_of("10.0.0.1", fleet.n_shards),
+            [QuoteRequest(dst="10.0.0.1", volume_mbps=1.0, distance_miles=2.0)],
         )
         assert quotes[0].snapshot_version == fleet.version
 
     def test_no_quote_from_a_stale_design_after_cutover(self, fleet, snapshot):
         """Once publish() returns, every answer carries the new version."""
         requests = generate_requests(64, seed=3, snapshot=snapshot)
-        fleet.quote_batch(requests)
+        quote_routed(fleet, requests)
         fleet.publish(make_snapshot(scale=3.0))
         flipped = fleet.version
         for _ in range(5):
             versions = {
                 quote.snapshot_version
-                for quote in fleet.quote_batch(requests)
+                for quote in quote_routed(fleet, requests)
             }
             assert versions == {flipped}
 
@@ -381,7 +421,7 @@ class TestShardFleet:
         os.kill(victim, signal.SIGKILL)
         # Keep load flowing while the shard is down: answers must be
         # either real quotes or explicit degraded ones — never errors.
-        for quote in fleet.quote_batch(requests):
+        for quote in quote_routed(fleet, requests):
             assert quote.degraded in (True, False)
         deadline = time.time() + 10.0
         while fleet.pids()[0] in (victim, None) and time.time() < deadline:
@@ -393,7 +433,7 @@ class TestShardFleet:
         fleet.publish(make_snapshot(scale=1.5))
         deadline = time.time() + 10.0
         while time.time() < deadline:
-            quotes = fleet.quote_batch(requests)
+            quotes = quote_routed(fleet, requests)
             if not any(q.degraded for q in quotes):
                 break
             time.sleep(0.05)
@@ -408,8 +448,8 @@ class TestShardFleet:
             fleet.publish(snapshot)
             os.kill(fleet.pids()[0], signal.SIGKILL)
             time.sleep(0.05)
-            quotes = fleet.quote_batch(
-                [QuoteRequest(dst="10.0.0.1", volume_mbps=1.0)]
+            quotes = fleet.quote_shard(
+                0, [QuoteRequest(dst="10.0.0.1", volume_mbps=1.0)]
             )
             assert quotes[0].degraded
             assert quotes[0].reason in ("shard crashed", "shard down")
@@ -421,8 +461,8 @@ class TestShardFleet:
         before = METRICS.counter("serve.quotes")
         with fleet:
             fleet.publish(snapshot)
-            fleet.quote_batch(
-                generate_requests(50, seed=1, snapshot=snapshot)
+            fleet.quote_shard(
+                0, generate_requests(50, seed=1, snapshot=snapshot)
             )
             # Workers count their engine work in their own process...
             assert METRICS.counter("serve.quotes") == before
@@ -443,7 +483,10 @@ class TestShardFleet:
         before = fleet.version
         fleet.subscriber("regime-b")(publication)
         assert fleet.version == before + 1
-        quote = fleet.quote_batch([QuoteRequest(dst="10.0.0.1")])[0]
+        quote = fleet.quote_shard(
+            shard_of("10.0.0.1", fleet.n_shards),
+            [QuoteRequest(dst="10.0.0.1")],
+        )[0]
         assert quote.snapshot_version == fleet.version
 
     def test_stats_shape(self, fleet):
@@ -452,6 +495,55 @@ class TestShardFleet:
         assert len(stats["pids"]) == 2
         assert stats["version"] >= 1
         assert stats["segment"] is not None
+
+
+class TestOneQuotePath:
+    """The engine, the routed shards and the front door give one answer."""
+
+    @staticmethod
+    def pinned_mix(snapshot, seed):
+        rng = np.random.default_rng(seed)
+        requests = generate_requests(
+            120, seed=seed, snapshot=snapshot, unknown_fraction=0.3
+        )
+        requests.append(QuoteRequest(dst=None, volume_mbps=3.0))
+        regions = (None, "metro", "national", "international")
+        regimes = (None, None, "regime-a", "regime-z")
+        return [
+            dataclasses.replace(
+                r,
+                region=regions[rng.integers(len(regions))],
+                regime=regimes[rng.integers(len(regimes))],
+            )
+            for r in requests
+        ]
+
+    @pytest.mark.parametrize("published", [True, False])
+    def test_three_callers_answer_field_for_field_alike(self, published):
+        cost_model = RegionalCost(theta=0.5)
+        snapshot = make_snapshot(cost_model=cost_model)
+        requests = self.pinned_mix(snapshot, seed=17)
+        assert any(r.regime == "regime-z" for r in requests)
+        registry = SnapshotRegistry()
+        config = FleetConfig(shards=2, heartbeat_ms=25.0, timeout_ms=5000.0)
+        with ShardFleet(cost_model, config, fallback_blended_rate=P0) as fleet:
+            if published:
+                registry.adopt(snapshot)
+                fleet.publish(snapshot)
+            expected = QuoteEngine(registry, cost_model, P0).quote_batch(
+                requests
+            )
+            routed = quote_routed(fleet, requests)
+            answers = quote_frame(fleet, requests)
+        assert routed == expected
+        assert answers == [quote_to_wire(q) for q in expected]
+        degraded = {q.reason for q in expected if q.degraded}
+        if published:
+            assert any(not q.degraded for q in expected)
+            assert {r.split(":")[0] for r in degraded} == {"regime mismatch"}
+        else:
+            assert degraded == {"no snapshot published"}
+        assert shm_segments() == []
 
 
 # ----------------------------------------------------------------------
@@ -522,6 +614,127 @@ class TestFrontDoor:
                         await client.quote_batch([])
 
         asyncio.run(scenario())
+
+    def test_wrong_typed_fields_get_a_per_quote_error(self, fleet):
+        """A non-string ``dst`` or ``regime`` is a bad request, answered in
+        line: it neither crashes a shard nor leaves its frame unanswered."""
+        names = (
+            "fleet.bad_requests", "fleet.respawns", "fleet.shard_failures"
+        )
+        before = {name: METRICS.counter(name) for name in names}
+        respawns, failures = fleet.respawns, fleet.shard_failures
+
+        async def scenario():
+            async with FrontDoor(fleet) as door:
+                async with await FleetClient.connect(
+                    door.host, door.port
+                ) as client:
+                    answers = []
+                    for quote in (
+                        {"dst": "10.0.0.1", "regime": 5},
+                        {"dst": 123},
+                        {"dst": "10.0.0.1"},
+                    ):
+                        answers += await asyncio.wait_for(
+                            client.quote_batch([quote]), 5.0
+                        )
+                    return answers
+
+        regime, dst, valid = asyncio.run(scenario())
+        assert regime["error"].startswith("DataError: quote regime")
+        assert dst["error"].startswith("DataError: quote dst")
+        assert not valid["degraded"] and valid["known"]
+        delta = {name: METRICS.counter(name) - before[name] for name in names}
+        assert delta == {
+            "fleet.bad_requests": 2,
+            "fleet.respawns": 0,
+            "fleet.shard_failures": 0,
+        }
+        assert (fleet.respawns, fleet.shard_failures) == (respawns, failures)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param(b"\xff\xfe{}", id="invalid-utf8"),
+            pytest.param(b'{"quotes": [', id="invalid-json"),
+            pytest.param(b"[" * 100_000, id="deep-nesting"),
+        ],
+    )
+    def test_unreadable_body_closes_the_connection(self, fleet, body):
+        before = METRICS.counter("fleet.bad_frames")
+        caught = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: caught.append(context)
+            )
+            async with FrontDoor(fleet) as door:
+                reader, writer = await asyncio.open_connection(
+                    door.host, door.port
+                )
+                writer.write(raw_frame(body))
+                closed = await asyncio.wait_for(reader.read(), 5.0)
+                writer.close()
+                await writer.wait_closed()
+                await asyncio.sleep(0.05)  # let a dying handler report
+                return closed
+
+        assert asyncio.run(scenario()) == b""
+        assert METRICS.counter("fleet.bad_frames") == before + 1
+        assert caught == []
+
+    @pytest.mark.parametrize("body", [b"[1, 2]", b"7"])
+    def test_json_that_is_not_an_object_gets_an_error_reply(
+        self, fleet, body
+    ):
+        async def scenario():
+            async with FrontDoor(fleet) as door:
+                reader, writer = await asyncio.open_connection(
+                    door.host, door.port
+                )
+                try:
+                    writer.write(raw_frame(body))
+                    error = await asyncio.wait_for(read_frame(reader), 5.0)
+                    # The connection stays open for the next frame.
+                    writer.write(
+                        encode_frame({"id": 2, "quotes": [{"dst": "10.0.0.1"}]})
+                    )
+                    quoted = await asyncio.wait_for(read_frame(reader), 5.0)
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+                return error, quoted
+
+        error, quoted = asyncio.run(scenario())
+        assert error == {"id": None, "error": "frame must be a JSON object"}
+        assert quoted["id"] == 2 and not quoted["quotes"][0]["degraded"]
+
+    def test_client_treats_an_unreadable_reply_as_a_closed_connection(self):
+        caught = []
+
+        async def hostile(reader, writer):
+            await read_frame(reader)
+            writer.write(raw_frame(b"[" * 100_000))
+            await writer.drain()
+            await reader.read()  # hold the socket until the client leaves
+            writer.close()
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: caught.append(context)
+            )
+            server = await asyncio.start_server(hostile, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                async with await FleetClient.connect("127.0.0.1", port) as client:
+                    with pytest.raises(ConnectionError):
+                        await asyncio.wait_for(client.stats(), 5.0)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
+        assert caught == []
 
     def test_pipelined_frames_correlate_by_id(self, fleet, snapshot):
         async def scenario():

@@ -361,7 +361,7 @@ class TestMechanismConfig:
         assert mech.n_tiers == 4
 
 
-def make_pipeline(trace, mechanism=None, **overrides):
+def make_pipeline(trace, mechanism=None, checkpoint_path=None, **overrides):
     defaults = dict(window_ms=600_000, drift_threshold=0.1)
     defaults.update(overrides)
     return StreamingPipeline(
@@ -370,6 +370,7 @@ def make_pipeline(trace, mechanism=None, **overrides):
         demand_model=CEDDemand(alpha=1.1),
         cost_model=LinearDistanceCost(theta=0.2),
         config=StreamConfig(**defaults),
+        checkpoint_path=checkpoint_path,
         mechanism=mechanism,
     )
 
@@ -421,6 +422,27 @@ class TestStreamingMechanisms:
             posted.design.tier_of_destination
             == legacy.design.tier_of_destination
         )
+
+    def test_hybrid_kill_restore_is_identical(self, trace, tmp_path):
+        """The posted-book size rides the checkpoint, so a restored
+        hybrid stream re-clears against the same pinned book."""
+
+        def pipeline(ckpt=None):
+            return make_pipeline(
+                trace,
+                mechanism=Hybrid(spot_windows=4),
+                checkpoint_path=ckpt,
+                window_ms=300_000,
+            )
+
+        baseline = pipeline().run()
+        ckpt = tmp_path / "hybrid.ckpt.json"
+        assert len(pipeline(ckpt).run(max_windows=2).results) == 2
+        resumed = pipeline(ckpt)
+        assert resumed.repricer._posted_tiers
+        report = resumed.run()
+        assert report.results == baseline.results
+        assert report.design.rates == baseline.design.rates
 
     def test_hybrid_reclear_pins_posted_book(self, trace):
         pipeline = make_pipeline(trace, mechanism=Hybrid(spot_windows=4))

@@ -255,9 +255,7 @@ class TestMetricsMerge:
 
     def test_runtime_metrics_alias_is_the_same_object(self):
         import repro.runtime
-        import repro.runtime.metrics as legacy
 
-        assert legacy.METRICS is METRICS
         assert repro.runtime.METRICS is METRICS
 
 

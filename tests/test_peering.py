@@ -12,7 +12,6 @@ from repro.peering.bypass import (
     BypassTable,
     bypass_for_flows,
     failure_window,
-    sweep_direct_costs,
 )
 from repro.peering.offerings import compare_offerings, offerings_for_flows
 from repro.peering.worked_example import figure1_example
@@ -177,27 +176,6 @@ class TestBypassTable:
                 == scenario.efficiency_loss_per_mbps
             )
             assert float(table.tiered_prices[i]) == scenario.tiered_price
-
-    def test_deprecated_sweep_warns_and_is_byte_identical(self):
-        costs = [1.0, 6.0, 9.9, 10.1, 20.0]
-        with pytest.warns(
-            DeprecationWarning, match="^repro.peering.sweep_direct_costs"
-        ):
-            legacy = sweep_direct_costs(
-                blended_rate=10.0,
-                isp_unit_cost=4.0,
-                direct_unit_costs=costs,
-                margin=0.25,
-                accounting_overhead=0.5,
-            )
-        columnar = BypassTable.evaluate(
-            blended_rate=10.0,
-            isp_unit_costs=4.0,
-            direct_unit_costs=costs,
-            margin=0.25,
-            accounting_overhead=0.5,
-        ).points()
-        assert legacy == columnar
 
     def test_counts_cover_all_labels(self):
         table = BypassTable.evaluate(10.0, 4.0, [1.0, 7.0, 15.0])

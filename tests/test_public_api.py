@@ -74,6 +74,28 @@ def test_config_and_obs_types_reach_the_top_level():
     del FleetConfig, ObsConfig, StreamConfig, TraceContext, Tracer
 
 
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro.config", "DEPRECATION_PREFIX"),
+        ("repro.experiments", "capture_by_strategy"),
+        ("repro.experiments.runner", "capture_by_strategy"),
+        ("repro.peering", "sweep_direct_costs"),
+        ("repro.peering.bypass", "sweep_direct_costs"),
+    ],
+)
+def test_retired_shims_stay_retired(module, name):
+    assert not hasattr(importlib.import_module(module), name)
+
+
+def test_retired_alias_module_and_object_view_stay_retired():
+    from repro.core.flow import FlowSet
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.runtime.metrics")
+    assert not hasattr(FlowSet, "flows")
+
+
 def test_every_error_class_is_public():
     import inspect
 

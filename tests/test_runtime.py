@@ -23,7 +23,7 @@ from repro.experiments.sweeps import figure14_data, theta_sweep
 from repro.runtime import cache as runtime_cache
 from repro.runtime.cache import CacheStore, config_hash
 from repro.runtime.executor import PoolExecutor
-from repro.runtime.metrics import METRICS, RESERVOIR_CAPACITY, Metrics
+from repro.obs import METRICS, RESERVOIR_CAPACITY, Metrics
 from repro.runtime.spec import ExperimentSpec, evaluate_spec, run_specs
 
 #: Small config so runtime tests stay fast.

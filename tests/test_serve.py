@@ -7,12 +7,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accounting.tier_designer import TierDesign
 from repro.core.bundling import ProfitWeightedBundling
 from repro.core.ced import CEDDemand
-from repro.core.cost import LinearDistanceCost
-from repro.core.flow import FlowSet
+from repro.core.cost import LinearDistanceCost, RegionalCost
+from repro.core.flow import VALID_REGIONS, FlowSet
 from repro.core.market import Market
 from repro.errors import (
     ConfigurationError,
@@ -262,6 +264,10 @@ class TestQuoteEngine:
             QuoteRequest(distance_miles=-1.0)
         with pytest.raises(DataError):
             QuoteRequest(region="outer-space")
+        with pytest.raises(DataError, match="dst"):
+            QuoteRequest(dst=123)
+        with pytest.raises(DataError, match="regime"):
+            QuoteRequest(dst="10.0.0.1", regime=5)
 
     def test_splitting_cost_model_rejected(self, registry):
         from repro.core.cost import DestinationTypeCost
@@ -272,6 +278,61 @@ class TestQuoteEngine:
         )
         with pytest.raises(ConfigurationError):
             engine.quote_batch([QuoteRequest(dst="10.0.0.1")])
+
+
+def regime_a_registry(cost_model):
+    """A registry holding one ``regime-a`` snapshot designed under
+    ``cost_model``, with a pinned quoting frame."""
+    market = Market(make_market().flows, CEDDemand(1.1), cost_model, P0)
+    outcome = market.tiered_outcome(ProfitWeightedBundling(), 3)
+    registry = SnapshotRegistry()
+    registry.publish(
+        TierDesign.from_outcome(market, outcome),
+        config_digest="regime-a",
+        blended_rate=P0,
+        gamma=market.gamma,
+        reference_distance_miles=float(market.flows.distances.max()),
+    )
+    return registry
+
+
+quote_requests = st.builds(
+    QuoteRequest,
+    dst=st.sampled_from([f"10.0.{i}.1" for i in range(6)] + ["203.0.113.9", None]),
+    volume_mbps=st.floats(0.01, 1e4),
+    distance_miles=st.floats(0.0, 1e4),
+    region=st.sampled_from((None,) + VALID_REGIONS),
+    regime=st.sampled_from([None, "regime-a", "regime-z"]),
+)
+
+
+class TestBatchIndependence:
+    """A quote is the same whatever else shares its batch."""
+
+    @pytest.mark.parametrize(
+        "cost_model",
+        [RegionalCost(theta=0.5), LinearDistanceCost(theta=0.2)],
+        ids=["regional", "linear"],
+    )
+    @settings(deadline=None, max_examples=60)
+    @given(batch=st.lists(quote_requests, min_size=1, max_size=12))
+    def test_each_row_quotes_as_if_alone(self, cost_model, batch):
+        engine = QuoteEngine(regime_a_registry(cost_model), cost_model, P0)
+        quotes = engine.quote_batch(batch)
+        for request, quote in zip(batch, quotes):
+            assert quote == engine.quote_batch([request])[0]
+
+    def test_a_labelled_row_is_costed_by_its_own_label(self):
+        cost_model = RegionalCost(theta=0.5)
+        engine = QuoteEngine(regime_a_registry(cost_model), cost_model, P0)
+        metro = QuoteRequest(dst="10.0.0.1", distance_miles=500.0, region="metro")
+        unlabelled = QuoteRequest(dst="10.0.0.1", distance_miles=500.0)
+        alone = engine.quote(metro)
+        mixed, international = engine.quote_batch([metro, unlabelled])
+        assert mixed == alone
+        assert international.unit_cost == pytest.approx(
+            alone.unit_cost * 3.0**0.5
+        )
 
 
 # ----------------------------------------------------------------------

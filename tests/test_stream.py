@@ -346,7 +346,7 @@ class TestOnlineRepricer:
         assert len(published) == 1
 
     def test_failing_subscriber_does_not_kill_the_stream(self):
-        from repro.runtime.metrics import METRICS
+        from repro.obs import METRICS
 
         repricer = self._repricer(n_tiers=2)
 
@@ -374,7 +374,7 @@ class TestOnlineRepricer:
         assert hook[0] is first[0] is second[0]
 
     def test_one_failing_subscriber_does_not_starve_the_rest(self):
-        from repro.runtime.metrics import METRICS
+        from repro.obs import METRICS
 
         repricer = self._repricer(n_tiers=2)
         delivered = []
@@ -588,6 +588,32 @@ class TestCheckpointLoad:
         ckpt.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=field):
             load_checkpoint(ckpt, digest)
+
+    @pytest.mark.parametrize("value", ["3", 1.5, True, -1])
+    def test_posted_tiers_must_be_an_integer(self, source, trace, tmp_path, value):
+        import json
+
+        from repro.stream import load_checkpoint
+
+        ckpt, digest = self._written(source, trace, tmp_path)
+        payload = json.loads(ckpt.read_text())
+        payload["posted_tiers"] = value
+        ckpt.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="posted_tiers"):
+            load_checkpoint(ckpt, digest)
+
+    def test_checkpoint_without_posted_tiers_still_loads(
+        self, source, trace, tmp_path
+    ):
+        import json
+
+        from repro.stream import load_checkpoint
+
+        ckpt, digest = self._written(source, trace, tmp_path)
+        payload = json.loads(ckpt.read_text())
+        del payload["posted_tiers"]
+        ckpt.write_text(json.dumps(payload))
+        assert load_checkpoint(ckpt, digest).posted_tiers is None
 
     def test_restored_run_replays_identically_mid_packet(self, tmp_path):
         """A v5 stream stopped at a window close resumes inside the
