@@ -630,39 +630,29 @@ def cmd_design(args: argparse.Namespace) -> str:
     )
     strategy = strategy_by_name(args.strategy)
     mech_cfg = MechanismConfig.resolve(cli=args)
-    if not mech_cfg.is_default:
-        mechanism = mech_cfg.build(strategy=strategy, n_tiers=args.tiers)
-        design = mechanism.design_on(market)
-        lines = [
-            market.describe(),
-            f"mechanism: {mechanism.describe()}",
-            f"profit capture: {design.profit_capture:.1%} "
-            f"(blended ${market.blended_profit():,.0f} -> "
-            f"${design.profit:,.0f} -> ceiling ${market.max_profit():,.0f})",
-            f"tiers: {design.n_tiers} total "
-            f"({design.posted_tiers} posted, {design.spot_tiers} spot)",
-            "",
-            f"{'tier':>4} {'price $/Mbps':>13} {'flows':>7} "
-            f"{'demand Mbps':>13} {'mean cost':>10}",
-        ]
-        for i, tier in enumerate(design.tiers, start=1):
-            lines.append(
-                f"{i:>4} {tier.price:>13.2f} {tier.n_flows:>7} "
-                f"{tier.demand_mbps:>13.1f} {tier.mean_cost:>10.2f}"
-            )
-        return "\n".join(lines)
-    outcome = market.tiered_outcome(strategy, args.tiers)
+    mechanism = mech_cfg.build(strategy=strategy, n_tiers=args.tiers)
+    design = mechanism.design_on(market)
+    posted = mech_cfg.is_default
     lines = [
         market.describe(),
-        f"strategy: {strategy.name}, tiers requested: {args.tiers}",
-        f"profit capture: {outcome.profit_capture:.1%} "
+        f"strategy: {strategy.name}, tiers requested: {args.tiers}"
+        if posted
+        else f"mechanism: {mechanism.describe()}",
+        f"profit capture: {design.profit_capture:.1%} "
         f"(blended ${market.blended_profit():,.0f} -> "
-        f"${outcome.profit:,.0f} -> ceiling ${market.max_profit():,.0f})",
+        f"${design.profit:,.0f} -> ceiling ${market.max_profit():,.0f})",
+    ]
+    if not posted:
+        lines.append(
+            f"tiers: {design.n_tiers} total "
+            f"({design.posted_tiers} posted, {design.spot_tiers} spot)"
+        )
+    lines += [
         "",
         f"{'tier':>4} {'price $/Mbps':>13} {'flows':>7} {'demand Mbps':>13} "
         f"{'mean cost':>10}",
     ]
-    for i, tier in enumerate(outcome.tiers, start=1):
+    for i, tier in enumerate(design.tiers, start=1):
         lines.append(
             f"{i:>4} {tier.price:>13.2f} {tier.n_flows:>7} "
             f"{tier.demand_mbps:>13.1f} {tier.mean_cost:>10.2f}"
@@ -721,9 +711,7 @@ def cmd_stream(args: argparse.Namespace) -> str:
         cost_model=LinearDistanceCost(theta=DEFAULT_CONFIG.theta),
         config=config,
         checkpoint_path=args.checkpoint,
-        mechanism=(
-            None if mech_cfg.is_default else mech_cfg.build(n_tiers=args.tiers)
-        ),
+        mechanism=mech_cfg.build(n_tiers=args.tiers),
     )
     report = pipeline.run(max_windows=args.max_windows)
     return report.render()
@@ -777,9 +765,7 @@ def cmd_fleet(args: argparse.Namespace) -> str:
         demand_model=demand,
         cost_model=cost_model,
         config=stream_config,
-        mechanism=(
-            None if mech_cfg.is_default else mech_cfg.build(n_tiers=args.tiers)
-        ),
+        mechanism=mech_cfg.build(n_tiers=args.tiers),
     )
     pipeline.repricer.on_design_published = registry.subscriber(
         pipeline.config_digest
@@ -927,12 +913,7 @@ def cmd_ecosystem(args: argparse.Namespace) -> str:
         lines.append(
             f"selftest: wire round-trip exact ({len(wired)} flows)"
         )
-        mech_cfg = MechanismConfig.resolve(cli=args)
-        mechanism = (
-            None
-            if mech_cfg.is_default
-            else mech_cfg.build(n_tiers=args.tiers)
-        )
+        mechanism = MechanismConfig.resolve(cli=args).build(n_tiers=args.tiers)
         for probe in probes:
             design = design_for_as(
                 eco, probe.asn, n_tiers=args.tiers, mechanism=mechanism
@@ -1031,9 +1012,9 @@ def cmd_mechanisms(args: argparse.Namespace) -> str:
             )
         lines.append(f"selftest: registry in sync ({len(MECHANISMS)} mechanisms)")
 
-        # Posted-tiers byte-identity: the mechanism wrapper must score
-        # exactly what the legacy bundling path scores, strategy by
-        # strategy — same prices, same profit, same capture, bit for bit.
+        # Posted-tiers byte-identity: the mechanism's design must carry
+        # exactly what the bundling path scores, strategy by strategy —
+        # same prices, same profit, same capture, bit for bit.
         market = markets["ced a=1.1"]
         for strategy in paper_strategies():
             outcome = market.tiered_outcome(strategy, args.tiers)

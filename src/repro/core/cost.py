@@ -155,10 +155,12 @@ class CostModel(abc.ABC):
         return np.maximum(flows.distances, self.min_distance_miles)
 
     def _floored_reference(self, reference_distance_miles: float) -> float:
+        # Calibration floors every distance, the longest haul included, so
+        # a 0-mile reference (every calibration flow local) is the floor.
         reference = float(reference_distance_miles)
-        if not math.isfinite(reference) or reference <= 0:
+        if not math.isfinite(reference) or reference < 0:
             raise ModelParameterError(
-                f"reference distance must be finite and positive, got "
+                f"reference distance must be finite and non-negative, got "
                 f"{reference_distance_miles!r}"
             )
         return max(reference, self.min_distance_miles)

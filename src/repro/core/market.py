@@ -238,6 +238,18 @@ class Market:
             raise ModelParameterError(f"n_bundles must be >= 1, got {n_bundles}")
         bundles = strategy.bundle(self.bundling_inputs(), n_bundles)
         prices = self.demand_model.bundle_prices(self.valuations, self.costs, bundles)
+        return self.score(bundles, prices, strategy.name, n_bundles)
+
+    def score(
+        self, bundles: list, prices: np.ndarray, strategy: str, n_bundles: int
+    ) -> TieredOutcome:
+        """Score a partition priced at ``prices``: profit, capture, surplus
+        and price-sorted tier summaries.
+
+        The one scorer behind :meth:`tiered_outcome` and every pricing
+        mechanism's partition (:func:`repro.mechanisms.score_partition`);
+        ``strategy`` names whatever produced the partition.
+        """
         profit = self.profit_at(prices)
         surplus = self._scale * self.demand_model.consumer_surplus(
             self.valuations, prices
@@ -256,7 +268,7 @@ class Market:
             key=lambda t: t.price,
         )
         return TieredOutcome(
-            strategy=strategy.name,
+            strategy=strategy,
             n_bundles=n_bundles,
             bundles=bundles,
             prices=prices,

@@ -303,24 +303,21 @@ def design_for_as(
         {"asn", "kind", "n_flows", "aggregate_gbps", "profit_capture",
          "tier_prices", "tier_flows"}
 
-    ``mechanism`` selects a :mod:`repro.mechanisms` pricing mechanism —
-    a :class:`~repro.mechanisms.Mechanism` instance or registry name.
-    The default (``None`` / posted-tiers) keeps the summary byte-
-    identical to the pre-mechanism output; any other mechanism prices
-    the AS's traffic through the seam and adds a ``"mechanism"`` key.
+    ``mechanism`` selects the :mod:`repro.mechanisms` pricing mechanism
+    that designs the AS's tiers — a :class:`~repro.mechanisms.Mechanism`
+    instance or registry name, posted tiers when ``None``.  A mechanism
+    other than posted tiers adds a ``"mechanism"`` key.
     """
-    from repro.core.bundling import ProfitWeightedBundling
     from repro.core.ced import CEDDemand
     from repro.core.cost import LinearDistanceCost
     from repro.core.logit import LogitDemand
     from repro.core.market import Market
+    from repro.mechanisms import DEFAULT_MECHANISM, mechanism_by_name
 
-    if isinstance(mechanism, str):
-        from repro.mechanisms import mechanism_by_name
-
-        mechanism = mechanism_by_name(mechanism, n_tiers=n_tiers)
-    if mechanism is not None and mechanism.name == "posted-tiers":
-        mechanism = None  # the default path *is* posted tiers
+    if mechanism is None or isinstance(mechanism, str):
+        mechanism = mechanism_by_name(
+            mechanism or DEFAULT_MECHANISM, n_tiers=n_tiers
+        )
 
     source = eco.as_by_asn(asn)
     flows = measured_flowset_for(eco, asn, through_wire=through_wire)
@@ -339,20 +336,17 @@ def design_for_as(
             LinearDistanceCost(theta=theta),
             blended_rate=blended_rate,
         )
-        if mechanism is None:
-            outcome = market.tiered_outcome(ProfitWeightedBundling(), n_tiers)
-        else:
-            outcome = mechanism.design_on(market)
+        design = mechanism.design_on(market)
     summary = {
         "asn": int(asn),
         "kind": source.kind,
         "n_flows": len(flows),
         "aggregate_gbps": round(flows.aggregate_gbps(), 4),
-        "profit_capture": round(outcome.profit_capture, 6),
-        "tier_prices": [round(t.price, 4) for t in outcome.tiers],
-        "tier_flows": [int(t.n_flows) for t in outcome.tiers],
+        "profit_capture": round(design.profit_capture, 6),
+        "tier_prices": [round(t.price, 4) for t in design.tiers],
+        "tier_flows": [int(t.n_flows) for t in design.tiers],
     }
-    if mechanism is not None:
+    if mechanism.name != DEFAULT_MECHANISM:
         summary["mechanism"] = mechanism.name
     return summary
 

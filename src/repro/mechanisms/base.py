@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import functools
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -39,7 +40,7 @@ from repro.accounting.tier_designer import TierDesign
 from repro.core.cost import CostModel
 from repro.core.demand import DemandModel
 from repro.core.flow import FlowSet
-from repro.core.market import Market, TierSummary
+from repro.core.market import Market, TieredOutcome, TierSummary
 from repro.errors import MechanismError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serve -> stream)
@@ -86,21 +87,19 @@ class MechanismDesign:
         profit_capture: Fraction of the blended-to-max profit gap closed.
         consumer_surplus: Aggregate customer surplus at those prices.
         tiers: Per-tier summaries sorted by price (posted + spot alike).
-        tier_design: The frozen, operable design (rates + destination
-            map) every downstream consumer speaks — ``None`` when the
-            flows carry no destination addresses (pure counterfactual
-            datasets), in which case the design can be scored but not
-            published or snapshotted.
         posted_tiers: Leading tiers (ids ``1..posted_tiers``) that are
             posted contracts governed by the drift gate; the rest are
             spot lots re-cleared every window.
+        gamma / blended_rate / reference_distance_miles / provider_asn:
+            Calibration frame needed to publish the design (mirrors
+            :class:`~repro.stream.repricer.DesignPublication`).
+        bundles / market: The partition (index arrays into the market's
+            flows) and the market it was scored on, which
+            :attr:`tier_design` freezes on first read.
         assignment: Optional per-flow mechanism assignment
             (:data:`ASSIGN_POSTED` / :data:`ASSIGN_SPOT` /
             :data:`ASSIGN_PEERED`), ``None`` when every flow trades the
             same way.
-        gamma / blended_rate / reference_distance_miles / provider_asn:
-            Calibration frame needed to publish the design (mirrors
-            :class:`~repro.stream.repricer.DesignPublication`).
     """
 
     mechanism: str
@@ -109,13 +108,60 @@ class MechanismDesign:
     profit_capture: float
     consumer_surplus: float
     tiers: "list[TierSummary]"
-    tier_design: "Optional[TierDesign]"
     posted_tiers: int
     gamma: float
     blended_rate: float
     reference_distance_miles: float
     provider_asn: int
+    bundles: list = dataclasses.field(repr=False, compare=False)
+    market: Market = dataclasses.field(repr=False, compare=False)
     assignment: "Optional[np.ndarray]" = None
+
+    @classmethod
+    def from_outcome(
+        cls,
+        market: Market,
+        outcome: TieredOutcome,
+        *,
+        mechanism: str,
+        posted_tiers: int,
+        provider_asn: int = 64500,
+        assignment: "Optional[np.ndarray]" = None,
+    ) -> "MechanismDesign":
+        """Wrap a scored partition (:meth:`Market.score`) as a design."""
+        return cls(
+            mechanism=mechanism,
+            prices=outcome.prices,
+            profit=outcome.profit,
+            profit_capture=outcome.profit_capture,
+            consumer_surplus=float(outcome.consumer_surplus),
+            tiers=outcome.tiers,
+            posted_tiers=int(posted_tiers),
+            gamma=float(market.gamma),
+            blended_rate=float(market.blended_rate),
+            reference_distance_miles=float(market.flows.distances.max()),
+            provider_asn=int(provider_asn),
+            bundles=outcome.bundles,
+            market=market,
+            assignment=assignment,
+        )
+
+    @functools.cached_property
+    def tier_design(self) -> "Optional[TierDesign]":
+        """The frozen, operable design (rates + destination map) every
+        downstream consumer speaks.
+
+        Built on first read, so a design that is scored and dropped (a
+        repricer's hold window) never freezes one.  ``None`` when the
+        flows carry no destination addresses (pure counterfactual
+        datasets): the design can be scored but not published or
+        snapshotted.
+        """
+        if self.market.flows.dst_codes is None:
+            return None
+        return TierDesign.from_bundles(
+            self.market, self.bundles, self.prices, provider_asn=self.provider_asn
+        )
 
     @property
     def n_tiers(self) -> int:
@@ -251,49 +297,18 @@ def score_partition(
 ) -> MechanismDesign:
     """Score an arbitrary partition + price vector into a MechanismDesign.
 
-    The mechanism-layer analogue of :meth:`Market.tiered_outcome`: same
-    profit / capture / surplus / tier-summary computations (so posted
-    mechanisms reproduce legacy numbers bit-for-bit), but over any
-    partition — spot lots, peering splits, hybrid books.
+    The mechanism-layer entry to :meth:`Market.score`, the scorer
+    :meth:`Market.tiered_outcome` uses too, over any partition — spot
+    lots, peering splits, hybrid books.
     """
     if not bundles:
         raise MechanismError(f"{mechanism}: empty partition")
-    profit = market.profit_at(prices)
-    scale = market.demand_model.population(market.flows.demands)
-    surplus = scale * market.demand_model.consumer_surplus(
-        market.valuations, prices
-    )
-    quantities = market.quantities(prices)
-    tiers = sorted(
-        (
-            TierSummary(
-                price=float(prices[members[0]]),
-                n_flows=int(members.size),
-                demand_mbps=float(np.sum(quantities[members])),
-                mean_cost=float(np.mean(market.costs[members])),
-            )
-            for members in bundles
-        ),
-        key=lambda t: t.price,
-    )
-    tier_design = None
-    if market.flows.dsts is not None:
-        tier_design = TierDesign.from_bundles(
-            market, bundles, prices, provider_asn=provider_asn
-        )
-    return MechanismDesign(
+    return MechanismDesign.from_outcome(
+        market,
+        market.score(bundles, prices, mechanism, len(bundles)),
         mechanism=mechanism,
-        prices=prices,
-        profit=profit,
-        profit_capture=market.profit_capture(profit),
-        consumer_surplus=float(surplus),
-        tiers=tiers,
-        tier_design=tier_design,
-        posted_tiers=int(posted_tiers),
-        gamma=float(market.gamma),
-        blended_rate=float(market.blended_rate),
-        reference_distance_miles=float(market.flows.distances.max()),
-        provider_asn=int(provider_asn),
+        posted_tiers=posted_tiers,
+        provider_asn=provider_asn,
         assignment=assignment,
     )
 

@@ -1,12 +1,13 @@
-"""Posted tiered prices — the paper's mechanism, behind the new seam.
+"""Posted tiered prices — the paper's mechanism, behind the seam.
 
-:class:`PostedTiers` wraps :meth:`Market.tiered_outcome` and
-:meth:`TierDesign.from_outcome` *unchanged*: the partition comes from
-one of the six bundling strategies, each tier is priced at its
-profit-maximizing uniform price, and the frozen design is the same
-object the pre-mechanism code produced.  A test asserts designs,
-capture tables, and snapshot digests are byte-identical to the legacy
-direct path — this class adds provenance, not behavior.
+:class:`PostedTiers` prices through :meth:`Market.tiered_outcome`: the
+partition comes from one of the six bundling strategies and each tier
+is priced at its profit-maximizing uniform price.  The design wraps the
+outcome's own scores, so its profit, capture, surplus and tiers are the
+outcome's values, and its frozen tier design is the one
+:meth:`~repro.accounting.tier_designer.TierDesign.from_outcome` would
+build.  It is the default mechanism everywhere one is taken: the
+streaming repricer, ``design_for_as`` and the CLI.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from repro.core.bundling import BundlingStrategy, ProfitWeightedBundling
 from repro.core.market import Market
 from repro.errors import MechanismError
-from repro.mechanisms.base import Mechanism, MechanismDesign, score_partition
+from repro.mechanisms.base import Mechanism, MechanismDesign
 
 
 class PostedTiers(Mechanism):
@@ -39,19 +40,13 @@ class PostedTiers(Mechanism):
 
     def design_on(self, market: Market, provider_asn: int = 64500) -> MechanismDesign:
         outcome = market.tiered_outcome(self.strategy, self.n_tiers)
-        design = score_partition(
+        return MechanismDesign.from_outcome(
             market,
-            outcome.bundles,
-            outcome.prices,
+            outcome,
             mechanism=self.name,
             posted_tiers=len(outcome.bundles),
             provider_asn=provider_asn,
         )
-        # Paranoia, cheaply: the seam must not drift from the legacy
-        # scoring (both go through the same profit/capture code, so this
-        # can only fire if someone forks score_partition).
-        assert design.profit == outcome.profit
-        return design
 
     def describe(self) -> str:
         return f"{self.name}({self.strategy.name}, B={self.n_tiers})"

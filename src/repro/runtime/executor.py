@@ -399,6 +399,8 @@ class SocketExecutor(Executor):
         self._state: "Optional[_SweepState]" = None
         self._conns: "set[_WorkerConnection]" = set()
         self._closed = False
+        #: Set by :meth:`close`; wakes the monitor thread from its wait.
+        self._closing = threading.Event()
         self._lease_seq = itertools.count(1)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -480,6 +482,7 @@ class SocketExecutor(Executor):
             if self._closed:
                 return
             self._closed = True
+            self._closing.set()
             if self._state is not None:
                 self._state.outbox.put(
                     ("fatal", ExecutorError("socket executor closed mid-sweep"))
@@ -679,8 +682,7 @@ class SocketExecutor(Executor):
 
     def _monitor_loop(self):
         interval = min(self.config.heartbeat_ms, 250.0) / 1000.0
-        while not self._closed:
-            time.sleep(interval)
+        while not self._closing.wait(interval):
             now = time.monotonic()
             with self._lock:
                 state = self._state

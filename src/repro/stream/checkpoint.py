@@ -46,8 +46,9 @@ class PipelineCheckpoint:
     design: "Optional[TierDesign]"
     results: "list[WindowResult]"
     #: Leading tiers of ``design`` that are posted contracts (the book a
-    #: reclearing mechanism pins); ``None`` outside mechanism mode and in
-    #: checkpoints written before it was recorded.
+    #: reclearing mechanism pins); ``None`` for a mechanism that does not
+    #: re-clear (posted tiers) and in checkpoints written before it was
+    #: recorded.
     posted_tiers: "Optional[int]" = None
 
 

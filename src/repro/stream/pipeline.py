@@ -32,10 +32,10 @@ from typing import Callable, Optional
 
 from repro import obs
 from repro.config import StreamConfig
-from repro.core.bundling import BundlingStrategy, ProfitWeightedBundling
 from repro.core.cost import CostModel
 from repro.core.demand import DemandModel
 from repro.errors import DataError
+from repro.mechanisms.base import tag_config_digest
 from repro.netflow.records import RecordBatch
 from repro.obs import METRICS
 from repro.stream.checkpoint import (
@@ -138,7 +138,6 @@ class StreamingPipeline:
         demand_model / cost_model: The market model for every window.
         config: Streaming knobs (:class:`StreamConfig`).
         region_fn: Optional flow key -> region label.
-        strategy: Bundling strategy (default profit-weighted).
         checkpoint_path: When set, state is written there every
             ``config.checkpoint_every`` windows, and an existing file is
             restored from before consuming any records.
@@ -147,11 +146,11 @@ class StreamingPipeline:
             accepted re-tiering — the hook the quote-serving registry
             hot-swaps snapshots from
             (:meth:`repro.serve.SnapshotRegistry.subscriber`).
-        mechanism: Optional :class:`~repro.mechanisms.Mechanism`
-            replacing the posted-tiers design path.  ``None`` (or the
-            posted-tiers mechanism itself) keeps the legacy pipeline and
-            its byte-identical config digest; any other mechanism tags
-            the digest ``|mechanism=<name>``, so checkpoints and quote
+        mechanism: The :class:`~repro.mechanisms.Mechanism` that prices
+            every window (``None``: posted tiers, see
+            :class:`~repro.stream.repricer.OnlineRepricer`).  Posted
+            tiers keep the untagged config digest; any other mechanism
+            tags it ``|mechanism=<name>``, so checkpoints and quote
             snapshots from different regimes never mix.
     """
 
@@ -163,7 +162,6 @@ class StreamingPipeline:
         cost_model: CostModel,
         config: StreamConfig,
         region_fn: "Callable | None" = None,
-        strategy: "BundlingStrategy | None" = None,
         checkpoint_path=None,
         on_design_published: "Callable | None" = None,
         mechanism=None,
@@ -173,12 +171,6 @@ class StreamingPipeline:
         self.region_fn = region_fn
         self.config = config
         self.checkpoint_path = checkpoint_path
-        self._digest = config.digest(demand_model, cost_model)
-        if mechanism is not None:
-            from repro.mechanisms.base import tag_config_digest
-
-            self._digest = tag_config_digest(self._digest, mechanism.name)
-
         self.queue = RecordQueue(config.queue_capacity, config.queue_policy)
         self.windower = Windower(
             config.window_ms,
@@ -189,13 +181,15 @@ class StreamingPipeline:
             demand_model,
             cost_model,
             blended_rate=config.blended_rate,
-            strategy=strategy or ProfitWeightedBundling(),
             n_tiers=config.n_tiers,
             drift_threshold=config.drift_threshold,
             provider_asn=config.provider_asn,
             mechanism=mechanism,
         )
         self.repricer.on_design_published = on_design_published
+        self._digest = tag_config_digest(
+            config.digest(demand_model, cost_model), self.repricer.mechanism.name
+        )
         self.results: "list[WindowResult]" = []
         self.records_consumed = 0
         self._skip = 0

@@ -4,11 +4,12 @@ Each closed window becomes one run of the paper's pipeline in miniature:
 the window's flow set recalibrates the market (same demand family, cost
 model, and blended reference as the design in force), the current tier
 design is replayed as a price vector through the drift machinery
-(:func:`~repro.accounting.drift.replay_design_prices`), and a refreshed
-design is derived for comparison.  Tiers are *re-derived* — the design in
-force replaced and a re-tier event recorded — only when the stale-vs-
-refreshed profit-capture gap crosses the configured threshold, so a
-stationary stream keeps its tiers and only genuine structural drift
+(:func:`~repro.accounting.drift.replay_design_prices`), and the
+repricer's pricing mechanism (posted tiers unless another is given)
+derives a refreshed design for comparison.  Tiers are *re-derived* — the
+design in force replaced and a re-tier event recorded — only when the
+stale-vs-refreshed profit-capture gap crosses the configured threshold,
+so a stationary stream keeps its tiers and only genuine structural drift
 forces repricing.
 
 Destinations are first aggregated (one flow per destination address,
@@ -26,13 +27,14 @@ import numpy as np
 
 from repro.accounting.drift import replay_design_prices
 from repro.accounting.tier_designer import TierDesign
-from repro.core.bundling import BundlingStrategy, ProfitWeightedBundling
 from repro.core.cost import CostModel
 from repro.core.demand import DemandModel
 from repro.core.flow import NO_LABEL, FlowSet
 from repro.core.market import Market
 from repro import obs
 from repro.errors import MechanismError, ReproError
+from repro.mechanisms.base import Mechanism
+from repro.mechanisms.posted import PostedTiers
 from repro.obs import METRICS
 from repro.stream.window import ClosedWindow, WindowBounds
 
@@ -179,14 +181,14 @@ class OnlineRepricer:
         demand_model / cost_model / blended_rate: The market model every
             window is recalibrated under (keep them fixed across the
             stream, as the drift comparison assumes).
-        strategy: Bundling strategy for derived designs.
-        n_tiers: Tier budget for derived designs.
+        n_tiers: Tier budget of the default mechanism.
         drift_threshold: Re-tier when the refreshed design's profit
             capture exceeds the stale design's by more than this.
         provider_asn: ASN stamped into derived designs.
-        mechanism: Optional :class:`~repro.mechanisms.Mechanism`
-            replacing the posted-tiers design path.  ``None`` keeps the
-            legacy (byte-identical) posted pipeline.  Mechanisms that
+        mechanism: The :class:`~repro.mechanisms.Mechanism` that designs
+            every window; ``None`` means
+            :class:`~repro.mechanisms.PostedTiers` (profit-weighted,
+            ``n_tiers``), the paper's posted tiers.  Mechanisms that
             re-clear per window (spot, hybrid) publish every priced
             window; the drift gate then governs only whether the
             *posted* component is re-derived (``retier``), while the
@@ -199,23 +201,22 @@ class OnlineRepricer:
         demand_model: DemandModel,
         cost_model: CostModel,
         blended_rate: float = 20.0,
-        strategy: "BundlingStrategy | None" = None,
         n_tiers: int = 3,
         drift_threshold: float = 0.1,
         provider_asn: int = 64500,
-        mechanism=None,
+        mechanism: "Mechanism | None" = None,
     ) -> None:
         self.demand_model = demand_model
         self.cost_model = cost_model
         self.blended_rate = float(blended_rate)
-        self.strategy = strategy or ProfitWeightedBundling()
-        self.n_tiers = int(n_tiers)
         self.drift_threshold = float(drift_threshold)
         self.provider_asn = int(provider_asn)
+        if mechanism is None:
+            mechanism = PostedTiers(n_tiers=n_tiers)
         self.mechanism = mechanism
         #: Leading tiers of the design in force that are posted contracts
-        #: (mechanism mode only; checkpointed with the design, so a
-        #: restored stream's next re-clear pins the same book).
+        #: (re-clearing mechanisms only; checkpointed with the design, so
+        #: a restored stream's next re-clear pins the same book).
         self._posted_tiers: "Optional[int]" = None
         #: The tier design currently in force (``None`` before the first
         #: successfully priced window).
@@ -253,20 +254,32 @@ class OnlineRepricer:
     def price_window(self, window: ClosedWindow, flows: FlowSet) -> WindowResult:
         """Recalibrate on one window's flows and decide whether to re-tier.
 
+        The design in force is replayed and compared against a fresh
+        design from the mechanism; the re-tier verdict governs only
+        re-*derivation*.  Mechanisms with a spot component
+        (:attr:`Mechanism.reclears`) additionally re-clear that component
+        at every priced window, pinning the held posted book, and
+        publish the result.
+
         Model-layer failures (calibration on degenerate windows, bundling
         on too-few flows) mark the window ``skipped`` rather than killing
         the stream — live traffic does not get to crash the pricer.
         """
         flows = aggregate_by_destination(flows)
-        if self.mechanism is not None:
-            return self._price_mechanism_window(window, flows)
+        mechanism = self.mechanism
         try:
+            if flows.dst_codes is None:
+                raise MechanismError(
+                    "streaming mechanisms need destination addresses"
+                )
             with METRICS.stage("stream.calibrate"):
                 market = Market(
                     flows, self.demand_model, self.cost_model, self.blended_rate
                 )
             with METRICS.stage("stream.rebundle"):
-                refreshed = market.tiered_outcome(self.strategy, self.n_tiers)
+                refreshed = mechanism.design_on(
+                    market, provider_asn=self.provider_asn
+                )
             if self.design is None:
                 stale_profit = None
                 capture_drop = None
@@ -287,6 +300,16 @@ class OnlineRepricer:
                     f"{self.drift_threshold:.3f} "
                     f"({unknown} unknown / {missing} churned destinations)"
                 )
+            adopted = refreshed if retier else None
+            if not retier and mechanism.reclears:
+                with METRICS.stage("stream.reclear"):
+                    adopted = mechanism.reclear_on(
+                        market,
+                        self.design,
+                        self._posted_tiers or 0,
+                        provider_asn=self.provider_asn,
+                    )
+                reason += "; spot re-cleared"
             # The drift-gate verdict, on the enclosing window span: why
             # this window did (or did not) replace the design in force.
             obs.event(
@@ -296,111 +319,11 @@ class OnlineRepricer:
                 threshold=self.drift_threshold,
                 reason=reason,
             )
-            if retier:
-                with METRICS.stage("stream.retier"):
-                    self.design = TierDesign.from_outcome(
-                        market, refreshed, provider_asn=self.provider_asn
-                    )
-                METRICS.incr("stream.retier_events")
-        except ReproError as exc:
-            METRICS.incr("stream.windows_skipped")
-            return WindowResult.skipped(
-                window.bounds,
-                window.n_records,
-                f"{type(exc).__name__}: {exc}",
-                self.current_tiers,
-            )
-        if retier:
-            self._publish(market, window)
-        METRICS.incr("stream.windows_priced")
-        return WindowResult(
-            start_ms=window.bounds.start_ms,
-            end_ms=window.bounds.end_ms,
-            status=STATUS_PRICED,
-            n_records=window.n_records,
-            n_flows=len(flows),
-            retier=retier,
-            reason=reason,
-            stale_profit=_opt_float(stale_profit),
-            refreshed_profit=float(refreshed.profit),
-            capture_drop=_opt_float(capture_drop),
-            n_tiers=self.current_tiers,
-        )
-
-    def _price_mechanism_window(
-        self, window: ClosedWindow, flows: FlowSet
-    ) -> WindowResult:
-        """Mechanism-mode window pricing (posted mode stays untouched).
-
-        Same drift machinery as the legacy path — the design in force is
-        replayed and compared against a fresh design — but the re-tier
-        verdict only governs re-*derivation*.  Mechanisms with a spot
-        component (:attr:`Mechanism.reclears`) additionally re-clear
-        that component at every priced window, pinning the held posted
-        book, and publish the result.
-        """
-        mechanism = self.mechanism
-        try:
-            with METRICS.stage("stream.calibrate"):
-                market = Market(
-                    flows, self.demand_model, self.cost_model, self.blended_rate
-                )
-            with METRICS.stage("stream.rebundle"):
-                refreshed = mechanism.design_on(
-                    market, provider_asn=self.provider_asn
-                )
-            if refreshed.tier_design is None:
-                raise MechanismError(
-                    "streaming mechanisms need destination addresses"
-                )
-            adopted: "Optional[object]" = None
-            if self.design is None:
-                stale_profit = None
-                capture_drop = None
-                retier = True
-                reason = "initial design"
-                adopted = refreshed
-            else:
-                prices, unknown, missing = replay_design_prices(
-                    self.design, market
-                )
-                stale_profit = market.profit_at(prices)
-                capture_drop = market.profit_capture(
-                    refreshed.profit
-                ) - market.profit_capture(stale_profit)
-                retier = capture_drop > self.drift_threshold
-                reason = (
-                    f"capture drop {capture_drop:.3f} "
-                    f"{'>' if retier else '<='} threshold "
-                    f"{self.drift_threshold:.3f} "
-                    f"({unknown} unknown / {missing} churned destinations)"
-                )
-                if retier:
-                    adopted = refreshed
-                elif mechanism.reclears:
-                    with METRICS.stage("stream.reclear"):
-                        adopted = mechanism.reclear_on(
-                            market,
-                            self.design,
-                            self._posted_tiers or 0,
-                            provider_asn=self.provider_asn,
-                        )
-                    reason += "; spot re-cleared"
-            obs.event(
-                "drift.decision",
-                retier=retier,
-                capture_drop=_opt_float(capture_drop),
-                threshold=self.drift_threshold,
-                reason=reason,
-            )
             if adopted is not None:
-                if adopted.tier_design is None:
-                    raise MechanismError(
-                        "streaming mechanisms need destination addresses"
-                    )
                 with METRICS.stage("stream.retier"):
                     self.design = adopted.tier_design
-                    self._posted_tiers = adopted.posted_tiers
+                    if mechanism.reclears:
+                        self._posted_tiers = adopted.posted_tiers
                 if retier:
                     METRICS.incr("stream.retier_events")
                 else:

@@ -58,6 +58,21 @@ class TestLinearDistanceCost:
             LinearDistanceCost(theta=0.1, min_distance_miles=0.0)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [LinearDistanceCost(theta=0.2), ConcaveDistanceCost(theta=0.2)],
+    ids=["linear", "concave"],
+)
+def test_zero_mile_reference_quotes_in_the_calibration_frame(model):
+    # Every calibration flow local: the calibration frame is the floor,
+    # and a snapshot carries a 0-mile reference distance.
+    flows = FlowSet(demands_mbps=[1.0, 2.0], distances_miles=[0.0, 0.0])
+    quoted = model.prepare_quotes(flows, 0.0).relative_costs
+    assert quoted.tolist() == model.prepare(flows).relative_costs.tolist()
+    with pytest.raises(ModelParameterError):
+        model.prepare_quotes(flows, -1.0)
+
+
 class TestConcaveDistanceCost:
     def test_costs_positive_and_increasing(self, small_flows):
         costed = ConcaveDistanceCost(theta=0.1).prepare(small_flows)

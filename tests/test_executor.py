@@ -403,9 +403,15 @@ class TestSocketChaos:
     def test_close_wakes_the_accept_thread(self):
         start = time.perf_counter()
         executor = SocketExecutor(jobs=1, spawn=0)
+        closing = time.perf_counter()
         executor.close()
-        assert time.perf_counter() - start < 1.0
+        done = time.perf_counter()
+        assert done - start < 1.0
+        # close() wakes the monitor thread too, instead of waiting out
+        # its poll interval.
+        assert done - closing < 0.1
         assert not executor._accept_thread.is_alive()
+        assert not executor._monitor_thread.is_alive()
 
     def test_worker_sigkill_mid_sweep_still_completes(self, fresh_cache):
         """Kill one of two workers after the first results; the survivor

@@ -11,15 +11,22 @@ The load-bearing guarantees:
 * **Hybrid semantics** — posted book + spot lots partition the flows;
   the repricer's drift gate governs only the posted component while the
   spot side re-clears (and republishes) every priced window.
+* **Cross-layer invariants** (hypothesis, every mechanism, both demand
+  families) — profit never exceeds the per-flow optimum, a design's
+  scores are the market's own at its prices, and each flow's design
+  price is the price a quote engine serves from the design's snapshot.
 """
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.config import MECHANISMS, MechanismConfig
 from repro.core.bundling import paper_strategies
 from repro.core.ced import CEDDemand
 from repro.core.cost import LinearDistanceCost
+from repro.core.flow import FlowSet
 from repro.core.logit import LogitDemand
 from repro.core.market import Market
 from repro.errors import ConfigurationError, MechanismError
@@ -39,6 +46,7 @@ from repro.mechanisms import (
     tag_config_digest,
 )
 from repro.runtime.spec import ExperimentSpec
+from repro.serve import QuoteEngine, QuoteRequest, SnapshotRegistry
 from repro.stream import (
     STATUS_PRICED,
     StreamConfig,
@@ -321,6 +329,75 @@ class TestScoringAgainstWelfare:
                 )
 
 
+@st.composite
+def addressed_designs(draw):
+    """(market, mechanism, design) on a random addressed flow set."""
+    n = draw(st.integers(4, 40))
+    flows = FlowSet(
+        demands_mbps=draw(st.lists(st.floats(0.5, 500.0), min_size=n, max_size=n)),
+        distances_miles=draw(
+            st.lists(st.floats(0.0, 3000.0), min_size=n, max_size=n)
+        ),
+        dsts=[f"10.0.{i // 256}.{i % 256}" for i in range(n)],
+    )
+    if draw(st.booleans()):
+        demand = CEDDemand(alpha=draw(st.floats(1.05, 4.0)))
+    else:
+        # Logit calibrates only when alpha * P0 * s0 > 1 (alpha > 0.25).
+        demand = LogitDemand(alpha=draw(st.floats(0.3, 3.0)), s0=0.2)
+    market = Market(flows, demand, LinearDistanceCost(theta=0.2), P0)
+    mechanism = mechanism_by_name(
+        draw(st.sampled_from(MECHANISM_NAMES)),
+        n_tiers=draw(st.integers(1, 4)),
+        spot_windows=draw(st.integers(1, 6)),
+    )
+    try:
+        design = mechanism.design_on(market)
+    except MechanismError:
+        if mechanism.name != "paid-peering":
+            raise
+        assume(False)  # no flow is both exchange-local and peerable
+    return market, mechanism, design
+
+
+class TestMechanismInvariants:
+    @settings(deadline=None, max_examples=80)
+    @given(case=addressed_designs())
+    def test_profit_never_exceeds_per_flow_optimum(self, case):
+        market, _mechanism, design = case
+        ceiling = market.max_profit()
+        assert design.profit <= ceiling + 1e-9 * abs(ceiling)
+
+    @settings(deadline=None, max_examples=80)
+    @given(case=addressed_designs())
+    def test_scores_are_the_markets_own_at_the_design_prices(self, case):
+        market, _mechanism, design = case
+        model = market.demand_model
+        surplus = model.population(market.flows.demands) * model.consumer_surplus(
+            market.valuations, design.prices
+        )
+        assert design.profit == market.profit_at(design.prices)
+        assert design.consumer_surplus == surplus
+
+    @settings(deadline=None, max_examples=80)
+    @given(case=addressed_designs())
+    def test_design_price_is_the_quoted_price(self, case):
+        market, mechanism, design = case
+        registry = SnapshotRegistry()
+        registry.publish_snapshot(
+            mechanism.snapshot(design, version=1, config_digest="prop")
+        )
+        engine = QuoteEngine(registry, market.cost_model, P0)
+        quotes = engine.quote_batch(
+            [
+                QuoteRequest(dst=dst, distance_miles=float(miles))
+                for dst, miles in zip(market.flows.dsts, market.flows.distances)
+            ]
+        )
+        assert all(q.known and not q.degraded for q in quotes)
+        assert [q.unit_price for q in quotes] == design.prices.tolist()
+
+
 class TestMechanismConfig:
     def test_defaults(self):
         cfg = MechanismConfig.resolve()
@@ -412,16 +489,6 @@ class TestStreamingMechanisms:
         pipeline.repricer.on_design_published = published.append
         report = pipeline.run()
         assert len(published) == report.retier_events
-
-    def test_mechanism_stream_matches_legacy_design(self, trace):
-        legacy = make_pipeline(trace).run()
-        posted = make_pipeline(trace, mechanism=PostedTiers(n_tiers=3)).run()
-        assert posted.design is not None
-        assert posted.design.rates == legacy.design.rates
-        assert (
-            posted.design.tier_of_destination
-            == legacy.design.tier_of_destination
-        )
 
     def test_hybrid_kill_restore_is_identical(self, trace, tmp_path):
         """The posted-book size rides the checkpoint, so a restored

@@ -4,10 +4,16 @@ repricer, checkpoint/restore, CLI)."""
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.accounting.drift import replay_design_prices
+from repro.accounting.tier_designer import TierDesign
+from repro.core.bundling import ProfitWeightedBundling
 from repro.core.ced import CEDDemand
 from repro.core.cost import LinearDistanceCost
 from repro.core.flow import FlowSet
+from repro.core.market import Market
 from repro.errors import ConfigurationError, DataError
 from repro.netflow.records import FlowKey, NetFlowRecord, PROTO_TCP, RecordBatch
 from repro.stream import (
@@ -390,6 +396,69 @@ class TestOnlineRepricer:
         assert result.status == STATUS_PRICED
         assert len(delivered) == 1  # the healthy subscriber still got it
         assert METRICS.counter("stream.publish_errors") == before + 1
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        windows=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 9),  # destination (repeats aggregate)
+                    st.floats(0.5, 200.0),  # demand, Mbps
+                    st.floats(1.0, 3000.0),  # distance, miles
+                ),
+                min_size=1,
+                max_size=16,
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        n_tiers=st.integers(1, 3),
+        threshold=st.sampled_from([0.0, 0.02, 0.1]),
+    )
+    def test_default_mechanism_is_the_posted_tiers_step(
+        self, windows, n_tiers, threshold
+    ):
+        """Window by window, the default repricer scores, adopts and
+        gates exactly as profit-weighted ``tiered_outcome`` and
+        ``TierDesign.from_outcome`` on the destination-aggregated flows."""
+        repricer = self._repricer(n_tiers=n_tiers, drift_threshold=threshold)
+        for i, rows in enumerate(windows):
+            flows = FlowSet(
+                demands_mbps=[demand for _, demand, _ in rows],
+                distances_miles=[miles for _, _, miles in rows],
+                dsts=[f"2.0.0.{dst}" for dst, _, _ in rows],
+            )
+            start = 100 * i
+            window = ClosedWindow(
+                WindowBounds(start, start + 100),
+                batch(record(key(1), start, start + 10)),
+            )
+            prior = repricer.design
+            result = repricer.price_window(window, flows)
+            if result.status != STATUS_PRICED:
+                assert repricer.design is prior
+                continue
+            market = Market(
+                aggregate_by_destination(flows),
+                CEDDemand(alpha=1.1),
+                LinearDistanceCost(theta=0.2),
+                P0,
+            )
+            outcome = market.tiered_outcome(ProfitWeightedBundling(), n_tiers)
+            assert result.refreshed_profit == outcome.profit
+            if prior is None:
+                assert result.retier and result.reason == "initial design"
+            else:
+                prices, _, _ = replay_design_prices(prior, market)
+                assert result.stale_profit == market.profit_at(prices)
+                assert result.capture_drop == market.profit_capture(
+                    outcome.profit
+                ) - market.profit_capture(result.stale_profit)
+                assert result.retier == (result.capture_drop > threshold)
+            if result.retier:
+                assert repricer.design == TierDesign.from_outcome(market, outcome)
+            else:
+                assert repricer.design is prior
 
     def test_aggregate_by_destination_merges(self):
         flows = FlowSet(
