@@ -8,9 +8,10 @@ ISP capture a large fraction of profit regardless of alpha.
 This is the heaviest sweep in the repo (7 alphas x 2 families x 3
 networks = 42 markets), so it doubles as the runtime's perf baseline:
 ``test_runtime_baseline`` times a cold-cache serial run against a
-warm-cache rerun and archives the comparison as
-``benchmarks/output/fig14_runtime_baseline.json`` — the checked-in
-record that caching actually removes the recompute cost.
+warm-cache rerun, asserts the warm run rebuilds nothing, and writes the
+comparison to ``benchmarks/output/fig14_runtime_baseline.json``.  The
+file carries wall-clock times, so git ignores it; CI uploads it with
+the other bench records.
 """
 
 import json

@@ -5,13 +5,14 @@ pytest-benchmark, prints the series, and archives the rendered text under
 ``benchmarks/output/`` so paper-vs-measured comparisons (EXPERIMENTS.md)
 can cite a concrete artifact.
 
-Since the runtime refactor each bench also leaves a structured-JSON perf
-record (``<name>.metrics.json``) next to its text artifact: wall time of
-the timed driver call plus the run's :data:`repro.runtime.METRICS`
-snapshot — markets built, datasets generated, cache hits/misses, workers
-used, and per-stage timings.  Committed records are the repo's perf
-trajectory: diffs show when a driver got slower or started rebuilding
-state it used to cache.
+Each bench also leaves a structured-JSON perf record
+(``<name>.metrics.json``) next to its text artifact: wall time of the
+timed driver call plus the run's :data:`repro.runtime.METRICS` snapshot
+— markets built, datasets generated, cache hits/misses, workers used,
+and per-stage timings.  The records differ on every run (wall times,
+and counters that depend on what earlier benches in the session
+cached), so git ignores them and CI uploads them as an artifact; the
+text artifacts are deterministic and stay tracked.
 """
 
 from __future__ import annotations

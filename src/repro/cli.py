@@ -53,13 +53,15 @@ from collections.abc import Sequence
 
 from repro import obs
 from repro.config import (
-    EXECUTOR_BACKENDS,
     MECHANISMS,
+    EcosystemConfig,
     ExecutorConfig,
+    FleetConfig,
     MechanismConfig,
     ObsConfig,
     RuntimeConfig,
     StreamConfig,
+    add_flags,
 )
 from repro.core.bundling import strategy_by_name
 from repro.errors import (
@@ -122,23 +124,6 @@ _FIGURES = {
 }
 
 
-def _add_mechanism_flag(parser: argparse.ArgumentParser) -> None:
-    """``--mechanism`` on every pricing-path subcommand.
-
-    ``None`` (not given) falls through to ``REPRO_MECHANISM`` and the
-    posted-tiers default via :class:`MechanismConfig`.
-    """
-    parser.add_argument(
-        "--mechanism",
-        choices=MECHANISMS,
-        default=None,
-        help=(
-            "pricing mechanism (default $REPRO_MECHANISM, else "
-            "posted-tiers — the paper's pipeline, byte-identical)"
-        ),
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -161,52 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     # after it: ``python -m repro figure 14 --jobs 4``).  They steer how
     # the work runs, never what it computes.
     runtime = argparse.ArgumentParser(add_help=False)
-    runtime.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes for experiment fan-out "
-            "(default: $REPRO_JOBS, else 1 = serial; 0 = all cores)"
-        ),
-    )
-    runtime.add_argument(
-        "--executor",
-        choices=EXECUTOR_BACKENDS,
-        default=None,
-        help=(
-            "sweep execution backend: serial (inline), pool (process "
-            "pool; the default), or socket (work-stealing coordinator "
-            "+ local/remote workers, see 'repro workers') "
-            "(default: $REPRO_EXECUTOR, else pool)"
-        ),
-    )
-    runtime.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content-addressed dataset/market/result cache",
-    )
-    runtime.add_argument(
-        "--metrics",
-        default=None,
-        metavar="PATH",
-        help=(
-            "after the command, write a structured-JSON run report "
-            "(wall time, cache hits/misses, workers, markets built, "
-            "per-span latency) to PATH ('-' for stderr)"
-        ),
-    )
-    runtime.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help=(
-            "append every span of this run (CLI, sweeps, workers, "
-            "windows, quote batches) to PATH as JSONL; summarize with "
-            "'trace summarize PATH' (default: $REPRO_TRACE, else off)"
-        ),
-    )
+    add_flags(runtime, ExecutorConfig, "jobs", "backend")
+    add_flags(runtime, RuntimeConfig, "cache", "metrics")
+    add_flags(runtime, ObsConfig)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -236,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="profit-weighted",
         help="bundling strategy (figure-legend name)",
     )
-    _add_mechanism_flag(design)
+    add_flags(design, MechanismConfig, "mechanism")
 
     stream = sub.add_parser(
         "stream",
@@ -249,9 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--window",
         type=float,
-        default=600.0,
+        default=None,
         metavar="SECONDS",
-        help="event-time window length (default 600)",
+        help="event-time window length (default: $REPRO_STREAM_WINDOW_MS, "
+        "else 600 s)",
     )
     stream.add_argument(
         "--slide",
@@ -263,16 +206,17 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--tolerance",
         type=float,
-        default=0.0,
+        default=None,
         metavar="SECONDS",
         help="out-of-order arrival tolerance (delays window closes)",
     )
     stream.add_argument(
         "--drift-threshold",
         type=float,
-        default=0.1,
+        default=None,
         metavar="GAP",
-        help="re-tier when refreshed-vs-stale profit capture exceeds this",
+        help="re-tier when refreshed-vs-stale profit capture exceeds this "
+        "(default: $REPRO_STREAM_DRIFT, else 0.1)",
     )
     stream.add_argument("--tiers", type=int, default=3)
     stream.add_argument(
@@ -295,15 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--queue",
         type=int,
-        default=4096,
+        default=None,
         metavar="RECORDS",
-        help="bounded ingest queue capacity",
+        help="bounded ingest queue capacity (default: $REPRO_STREAM_QUEUE, "
+        "else 4096)",
     )
     stream.add_argument(
         "--policy",
         choices=("block", "drop-oldest"),
-        default="block",
-        help="full-queue backpressure policy",
+        default=None,
+        help="full-queue backpressure policy (default block)",
     )
     stream.add_argument(
         "--checkpoint",
@@ -327,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument("--shift-factor", type=float, default=3.0)
     stream.add_argument("--shift-fraction", type=float, default=0.5)
-    _add_mechanism_flag(stream)
+    add_flags(stream, MechanismConfig, "mechanism")
 
     fleet = sub.add_parser(
         "fleet",
@@ -342,43 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=DATASET_NAMES,
         help="which network's trace warms up the published design",
     )
-    fleet.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "shard worker processes (default $REPRO_FLEET_SHARDS, else 2; "
-            "0 = one per core)"
-        ),
-    )
-    fleet.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="front-door listen port (default 0 = ephemeral, reported)",
-    )
-    fleet.add_argument(
-        "--queue-depth",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-shard admission-queue capacity (default 1024)",
-    )
-    fleet.add_argument(
-        "--max-batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="largest batch one shard round-trip carries (default 512)",
-    )
-    fleet.add_argument(
-        "--timeout-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="per-request deadline / shard round-trip bound (default 5000)",
+    add_flags(
+        fleet, FleetConfig,
+        "shards", "port", "queue_depth", "max_batch", "timeout_ms",
     )
     fleet.add_argument(
         "--selftest",
@@ -406,9 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--window",
         type=float,
-        default=600.0,
+        default=None,
         metavar="SECONDS",
-        help="warm-up stream window length (default 600)",
+        help="warm-up stream window length (default: "
+        "$REPRO_STREAM_WINDOW_MS, else 600 s)",
     )
     fleet.add_argument(
         "--duration",
@@ -417,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="warm-up stream capture length (default 1800)",
     )
-    _add_mechanism_flag(fleet)
+    add_flags(fleet, MechanismConfig, "mechanism")
 
     ecosystem = sub.add_parser(
         "ecosystem",
@@ -427,28 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         parents=[runtime],
     )
-    ecosystem.add_argument(
-        "--ases",
-        type=int,
-        default=None,
-        metavar="N",
-        help="total AS count (default $REPRO_ECOSYSTEM_ASES, else 50)",
-    )
-    ecosystem.add_argument(
-        "--ixps",
-        type=int,
-        default=None,
-        metavar="N",
-        help="internet-exchange sites (default $REPRO_ECOSYSTEM_IXPS, else 3)",
-    )
-    ecosystem.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        dest="ecosystem_seed",
-        metavar="SEED",
-        help="world seed (default $REPRO_ECOSYSTEM_SEED, else 0)",
-    )
+    add_flags(ecosystem, EcosystemConfig, "ases", "ixps", "seed")
     ecosystem.add_argument(
         "--tiers",
         type=int,
@@ -470,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
             "one tier-2 AS"
         ),
     )
-    _add_mechanism_flag(ecosystem)
+    add_flags(ecosystem, MechanismConfig, "mechanism")
 
     mechanisms = sub.add_parser(
         "mechanisms",
@@ -493,13 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         help="tier budget for the posted/hybrid mechanisms (default 3)",
     )
-    mechanisms.add_argument(
-        "--spot-windows",
-        type=int,
-        default=None,
-        metavar="W",
-        help="spot-auction delivery windows (default $REPRO_MECHANISM_SPOT_WINDOWS, else 24)",
-    )
+    add_flags(mechanisms, MechanismConfig, "spot_windows")
     mechanisms.add_argument(
         "--selftest",
         action="store_true",
@@ -588,18 +473,22 @@ def _config(args: argparse.Namespace):
     """The experiment config for a run: CLI flags over resolved configs.
 
     Fan-out (``--jobs``/``--executor``) resolves through
-    :class:`ExecutorConfig`; caching through :class:`RuntimeConfig`.
+    :class:`ExecutorConfig`; ``--no-cache`` is applied to the global
+    cache switch by :func:`main`.
     """
     executor_config = ExecutorConfig.resolve(cli=args)
-    runtime_config = RuntimeConfig.resolve(cli=args)
     return dataclasses.replace(
         DEFAULT_CONFIG,
         n_flows=args.flows,
         seed=args.seed,
         jobs=executor_config.jobs,
-        cache=runtime_config.cache,
         executor=executor_config.backend,
     )
+
+
+def _ms(seconds: "float | None") -> "int | None":
+    """A given ``SECONDS`` flag in milliseconds (``None`` = not given)."""
+    return None if seconds is None else int(seconds * 1000)
 
 
 def cmd_table1(args: argparse.Namespace) -> str:
@@ -694,9 +583,9 @@ def cmd_stream(args: argparse.Namespace) -> str:
     else:
         demand = LogitDemand(alpha=DEFAULT_CONFIG.alpha, s0=DEFAULT_CONFIG.s0)
     config = StreamConfig.resolve(
-        window_ms=int(args.window * 1000),
-        slide_ms=None if args.slide is None else int(args.slide * 1000),
-        reorder_tolerance_ms=int(args.tolerance * 1000),
+        window_ms=_ms(args.window),
+        slide_ms=_ms(args.slide),
+        reorder_tolerance_ms=_ms(args.tolerance),
         queue_capacity=args.queue,
         queue_policy=args.policy,
         n_tiers=args.tiers,
@@ -724,7 +613,6 @@ def cmd_fleet(args: argparse.Namespace) -> str:
     from repro.core.ced import CEDDemand
     from repro.core.cost import LinearDistanceCost
     from repro.core.logit import LogitDemand
-    from repro.config import FleetConfig
     from repro.fleet import FrontDoor, ShardFleet, run_socket_load
     from repro.serve import SnapshotRegistry, generate_requests
     from repro.stream import StreamingPipeline, TraceReplaySource
@@ -747,7 +635,7 @@ def cmd_fleet(args: argparse.Namespace) -> str:
         demand = LogitDemand(alpha=DEFAULT_CONFIG.alpha, s0=DEFAULT_CONFIG.s0)
     cost_model = LinearDistanceCost(theta=DEFAULT_CONFIG.theta)
     stream_config = StreamConfig.resolve(
-        window_ms=int(args.window * 1000),
+        window_ms=_ms(args.window),
         n_tiers=args.tiers,
         blended_rate=DEFAULT_CONFIG.blended_rate,
     )
@@ -849,7 +737,6 @@ def cmd_fleet(args: argparse.Namespace) -> str:
 def cmd_ecosystem(args: argparse.Namespace) -> str:
     import json
 
-    from repro.config import EcosystemConfig
     from repro.ecosystem import (
         EcosystemSpec,
         STUB,
@@ -940,7 +827,6 @@ def cmd_mechanisms(args: argparse.Namespace) -> str:
         PostedTiers,
         cleared_supply,
         clearing_price,
-        mechanism_by_name,
     )
     from repro.synth.datasets import load_dataset
 
@@ -973,13 +859,8 @@ def cmd_mechanisms(args: argparse.Namespace) -> str:
         )
         markets[label] = market
         for name in MECHANISM_NAMES:
-            mechanism = mechanism_by_name(
-                name,
-                n_tiers=args.tiers,
-                spot_windows=mech_cfg.spot_windows,
-                elasticity_split=mech_cfg.elasticity_split,
-                exchange_radius_miles=mech_cfg.exchange_radius_miles,
-                bargaining=mech_cfg.bargaining,
+            mechanism = dataclasses.replace(mech_cfg, mechanism=name).build(
+                n_tiers=args.tiers
             )
             try:
                 design = mechanism.design_on(market)
@@ -1225,9 +1106,9 @@ _COMMANDS = {
 
 
 def _emit_metrics(
-    args: argparse.Namespace, wall_time_s: float, cache_enabled: bool
+    args: argparse.Namespace, path: str, wall_time_s: float, cache_enabled: bool
 ) -> None:
-    """Write the run's structured-JSON report where ``--metrics`` asked.
+    """Write the run's structured-JSON report to ``path`` (``-`` = stderr).
 
     :func:`repro.obs.to_json` merges the metrics registry with the
     tracer's per-span rollup, so one file carries counters and latency.
@@ -1240,20 +1121,20 @@ def _emit_metrics(
         executor=executor_config.backend,
         cache_enabled=cache_enabled,
     )
-    if args.metrics == "-":
+    if path == "-":
         print(payload, file=sys.stderr)
     else:
         import pathlib
 
-        pathlib.Path(args.metrics).write_text(payload + "\n")
+        pathlib.Path(path).write_text(payload + "\n")
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
+    runtime_config = RuntimeConfig.resolve(cli=args)
     cache_was_enabled = runtime_cache.cache_enabled()
-    if getattr(args, "no_cache", False):
-        # Disable all cache layers (results, markets, datasets), not just
-        # the driver-level result cache the config threads through.
+    if not runtime_config.cache:
+        # Disable all cache layers (results, markets, datasets).
         runtime_cache.configure(enabled=False)
     run_cache_enabled = runtime_cache.cache_enabled()
     obs_config = ObsConfig.resolve(cli=args)
@@ -1274,8 +1155,13 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         except ReproError as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             exit_code = exit_code_for(exc)
-        if exit_code == 0 and getattr(args, "metrics", None):
-            _emit_metrics(args, time.perf_counter() - started, run_cache_enabled)
+        if exit_code == 0 and runtime_config.metrics:
+            _emit_metrics(
+                args,
+                runtime_config.metrics,
+                time.perf_counter() - started,
+                run_cache_enabled,
+            )
         return exit_code
     finally:
         # main() is also called in-process (tests, embedding); don't let

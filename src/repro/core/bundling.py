@@ -22,9 +22,9 @@ than ``B`` bundles (empty tiers are dropped); they never return more.
 
 Every strategy is vectorized over the columnar arrays — partitioning a
 million flows is a sort plus a handful of prefix-sum/``bincount`` passes,
-with no per-flow Python.  The original per-flow reference implementations
-are kept (module-private, ``*_reference``) as ground truth for the
-equivalence property tests.
+with no per-flow Python.  The original per-flow implementations live in
+``tests/bundling_reference.py`` as ground truth for the equivalence
+tests.
 """
 
 from __future__ import annotations
@@ -198,32 +198,6 @@ def token_bucket_partition(weights: np.ndarray, n_bundles: int) -> Bundles:
         position + np.minimum.accumulate(crossed - position), n_bundles - 1
     )
     return [order[bundle_of == b] for b in range(int(bundle_of[-1]) + 1)]
-
-
-def _token_bucket_reference(weights: np.ndarray, n_bundles: int) -> Bundles:
-    """The original per-flow budget scan, kept as equivalence ground truth."""
-    w = np.asarray(weights, dtype=float)
-    order = np.argsort(-w, kind="stable")
-    budgets = np.full(n_bundles, w.sum() / n_bundles)
-    members: list = [[] for _ in range(n_bundles)]
-    for i in order:
-        j = _first_open_bundle(members, budgets)
-        members[j].append(int(i))
-        budgets[j] -= w[i]
-        if budgets[j] < 0 and j + 1 < n_bundles:
-            budgets[j + 1] += budgets[j]
-    return [np.array(m) for m in members if m]
-
-
-def _first_open_bundle(members: list, budgets: np.ndarray) -> int:
-    """First bundle that is empty or still has positive budget."""
-    for j, bundle_members in enumerate(members):
-        if not bundle_members or budgets[j] > 0:
-            return j
-    # Budgets sum to zero after exhaustion only when every bundle is sealed;
-    # remaining flows join the last bundle (cannot happen before all budgets
-    # are spent, but guard for float round-off).
-    return len(members) - 1
 
 
 class DemandWeightedBundling(TokenBucketBundling):
@@ -502,38 +476,6 @@ def _contiguous_dp(objective, n: int, max_bundles: int) -> list:
             choice[b, i] = b - 1 + k
     # Fewer bundles can never beat more under either model's objective, but
     # compare anyway in case of score ties.
-    best_b = int(np.argmax(dp[1:, n])) + 1
-    cuts = [n]
-    i = n
-    for b in range(best_b, 0, -1):
-        i = int(choice[b][i])
-        cuts.append(i)
-    cuts.reverse()
-    if cuts[0] != 0:
-        cuts.insert(0, 0)
-    return cuts
-
-
-def _contiguous_dp_reference(objective, n: int, max_bundles: int) -> list:
-    """The original scalar DP loop, kept as equivalence ground truth."""
-    n_bundles = min(max_bundles, n)
-    neg_inf = -np.inf
-    dp = np.full((n_bundles + 1, n + 1), neg_inf)
-    dp[0][0] = 0.0
-    choice = np.zeros((n_bundles + 1, n + 1), dtype=int)
-    for b in range(1, n_bundles + 1):
-        for i in range(b, n + 1):
-            best_val = neg_inf
-            best_j = b - 1
-            for j in range(b - 1, i):
-                if dp[b - 1][j] == neg_inf:
-                    continue
-                val = dp[b - 1][j] + objective.slice_score(j, i)
-                if val > best_val:
-                    best_val = val
-                    best_j = j
-            dp[b][i] = best_val
-            choice[b][i] = best_j
     best_b = int(np.argmax(dp[1:, n])) + 1
     cuts = [n]
     i = n

@@ -10,9 +10,11 @@ artifact, no staleness protocol needed.
 
 :class:`CacheStore` keeps an in-memory table and, when given a directory,
 mirrors entries to disk as pickles so warm starts survive process
-boundaries.  The process-global store is controlled by :func:`configure`
-(the CLI's ``--no-cache`` flag and the ``REPRO_CACHE_DIR`` /
-``REPRO_NO_CACHE`` environment variables end up here).
+boundaries.  The process-global store starts from
+:class:`~repro.config.RuntimeConfig` (``cache`` / ``cache_dir``, read
+from ``REPRO_NO_CACHE`` / ``REPRO_CACHE_DIR`` at import) and is
+reconfigured by :func:`configure` (the CLI's ``--no-cache`` ends up
+here).
 
 Hits and misses are counted in :data:`~repro.obs.METRICS`
 (``cache_hits`` / ``cache_misses``), which is how the benchmark harness
@@ -25,21 +27,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
 import pickle
 import threading
 from typing import Any, Callable, Optional
 
 from repro import obs
+from repro.config import RuntimeConfig
 from repro.obs import METRICS
-
-#: Environment variable: directory for the on-disk cache mirror.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: Environment variable: any non-empty value disables caching entirely.
-NO_CACHE_ENV = "REPRO_NO_CACHE"
-#: Default on-disk location when disk caching is requested without a path.
-DEFAULT_CACHE_DIR = ".repro_cache"
 
 
 def _canonical(payload: Any) -> Any:
@@ -122,10 +117,9 @@ class CacheStore:
 # Process-global store
 # ----------------------------------------------------------------------
 
-_enabled = True
-_store = CacheStore(os.environ.get(CACHE_DIR_ENV) or None)
-if os.environ.get(NO_CACHE_ENV):
-    _enabled = False
+_runtime = RuntimeConfig.resolve()
+_enabled = _runtime.cache
+_store = CacheStore(_runtime.cache_dir)
 
 
 def configure(

@@ -864,8 +864,7 @@ def get_executor(config=None, **overrides) -> Executor:
         config: An :class:`~repro.config.ExecutorConfig`, a backend-name
             string (``"serial"``/``"pool"``/``"socket"``), or an object
             with ``jobs`` (and optionally ``executor``) attributes such
-            as :class:`~repro.config.RuntimeConfig` or an
-            ``ExperimentConfig``.  ``None`` resolves from the
+            as an ``ExperimentConfig``.  ``None`` resolves from the
             environment.
         **overrides: Explicit :class:`ExecutorConfig` fields (highest
             precedence).

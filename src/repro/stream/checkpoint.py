@@ -31,6 +31,10 @@ from repro.stream.repricer import WindowResult
 #: Schema version written into checkpoint files.
 CHECKPOINT_FORMAT_VERSION = 1
 
+#: Restored cursors meet int64 timestamp arrays; cursors and counters
+#: must fit in one.
+_INT64 = 2**63
+
 PathLike = Union[str, pathlib.Path]
 
 
@@ -156,6 +160,12 @@ def checkpoint_from_json(text: str, expected_digest: str) -> PipelineCheckpoint:
         posted_tiers = payload.get("posted_tiers")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint JSON is missing or corrupt: {exc!r}") from exc
+    for name, value in queue.items():
+        if type(value) is not int or not 0 <= value < _INT64:
+            raise DataError(
+                f"checkpoint queue {name} must be a non-negative integer, "
+                f"got {value!r}"
+            )
     if posted_tiers is not None and (
         type(posted_tiers) is not int or posted_tiers < 0
     ):
@@ -176,13 +186,16 @@ def checkpoint_from_json(text: str, expected_digest: str) -> PipelineCheckpoint:
 
 
 def _check_cursor(windower: dict) -> None:
-    """The windower's cursor must be integers (``next_start`` may be null
-    before the first record)."""
+    """The windower's cursor must be 64-bit integers (``next_start`` may
+    be null before the first record)."""
     for name in ("next_start", "max_ts", "late_dropped"):
         value = windower[name]
-        if type(value) is not int and not (name == "next_start" and value is None):
+        if name == "next_start" and value is None:
+            continue
+        if type(value) is not int or not -_INT64 <= value < _INT64:
             raise DataError(
-                f"checkpoint windower {name} must be an integer, got {value!r}"
+                f"checkpoint windower {name} must be a 64-bit integer, "
+                f"got {value!r}"
             )
 
 

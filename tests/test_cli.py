@@ -208,6 +208,25 @@ class TestExitCodes:
         assert code == EXIT_CODES[errors.ConfigurationError] == 15
         assert "REPRO_JOBS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "env, argv, message",
+        [
+            ({}, ["ecosystem", "--ases", "2"], "ases must be >= 5, got 2"),
+            (
+                {"REPRO_ECOSYSTEM_ASES": "3"},
+                ["ecosystem"],
+                "REPRO_ECOSYSTEM_ASES: ases must be >= 5, got 3",
+            ),
+        ],
+    )
+    def test_out_of_bound_value_names_field_bound_and_source(
+        self, capsys, monkeypatch, env, argv, message
+    ):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(argv) == EXIT_CODES[errors.ConfigurationError] == 15
+        assert message in capsys.readouterr().err
+
 
 class TestOfferingsAndDrift:
     def test_offerings_linear(self, capsys):

@@ -28,8 +28,6 @@ from repro.core.bundling import (
     DEFAULT_MAX_OPTIMAL_FLOWS,
     OptimalBundling,
     _contiguous_dp,
-    _contiguous_dp_reference,
-    _token_bucket_reference,
     paper_strategies,
     token_bucket_partition,
 )
@@ -38,6 +36,7 @@ from repro.core.cost import DestinationTypeCost, LinearDistanceCost, RegionalCos
 from repro.core.flow import Flow, FlowSet, FlowTable, VALID_REGIONS
 from repro.core.linear import LinearDemand
 from repro.core.logit import LogitDemand
+from tests.bundling_reference import contiguous_dp_reference, token_bucket_reference
 from repro.core.market import Market
 from repro.core.welfare import welfare_comparison
 from repro.errors import DataError
@@ -165,7 +164,7 @@ class TestVectorizedAlgorithmsMatchReferences:
         rng = np.random.default_rng(seed)
         weights = rng.lognormal(mean=0.0, sigma=1.5, size=40)
         fast = token_bucket_partition(weights, n_bundles)
-        slow = _token_bucket_reference(weights, n_bundles)
+        slow = token_bucket_reference(weights, n_bundles)
         assert [sorted(b.tolist()) for b in fast] == [
             sorted(b.tolist()) for b in slow
         ]
@@ -190,7 +189,7 @@ class TestVectorizedAlgorithmsMatchReferences:
             v = model.fit_valuations(demands, 20.0)
             objective = model.bundle_objective(v, c)
             assert _contiguous_dp(objective, n, max_bundles) == (
-                _contiguous_dp_reference(objective, n, max_bundles)
+                contiguous_dp_reference(objective, n, max_bundles)
             ), model.name
 
 

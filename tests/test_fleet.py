@@ -1177,6 +1177,17 @@ class TestCutoverUnderLoad:
 
 
 class TestFleetCommand:
+    def test_window_env_reaches_the_warm_up(self, capsys, monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_STREAM_WINDOW_MS", "300000")
+        argv = ["--flows", "40", "fleet", "eu_isp", "--duration", "1800"]
+        argv += ["--selftest", "50", "--shards", "1", "--no-cache"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("stream warm-up: 6 windows")
+        assert shm_segments() == []
+
     def test_mechanism_flag_serves_a_reclearing_design(self, capsys):
         from repro.cli import main
 

@@ -2,6 +2,7 @@
 repricer, checkpoint/restore, CLI)."""
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,54 @@ def make_pipeline(source, trace, checkpoint_path=None, **overrides):
         config=StreamConfig(**defaults),
         checkpoint_path=checkpoint_path,
     )
+
+
+def leaf_paths(node, path=()):
+    """Key/index paths to every scalar in a parsed JSON document."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from leaf_paths(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from leaf_paths(v, path + (i,))
+    else:
+        yield path
+
+
+def leaf_fields(document) -> list:
+    """A document's leaf paths grouped by field (list indices dropped), so
+    a one-off cursor is as likely a target as a field of every record."""
+    fields: dict = {}
+    for path in leaf_paths(document):
+        key = tuple(step for step in path if isinstance(step, str))
+        fields.setdefault(key, []).append(path)
+    return list(fields.values())
+
+
+#: What a mutated checkpoint leaf may become.
+LEAF_REPLACEMENTS = (None, -1, 2**70, "x", 1.5, [], {}, True)
+
+
+def mutate(good: bytes, fields: list, rng) -> "tuple[bytes, str]":
+    """One seeded mutation of a checkpoint file, and what it was."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        cut = int(rng.integers(len(good)))
+        return good[:cut], f"truncated at {cut}"
+    if kind == 1:
+        data = bytearray(good)
+        for _ in range(int(rng.integers(1, 5))):
+            data[int(rng.integers(len(data)))] ^= int(rng.integers(1, 256))
+        return bytes(data), "byte flips"
+    payload = json.loads(good)
+    paths = fields[int(rng.integers(len(fields)))]
+    path = paths[int(rng.integers(len(paths)))]
+    node = payload
+    for step in path[:-1]:
+        node = node[step]
+    value = LEAF_REPLACEMENTS[int(rng.integers(len(LEAF_REPLACEMENTS)))]
+    node[path[-1]] = value
+    return json.dumps(payload).encode(), f"{path} = {value!r}"
 
 
 class TestWindower:
@@ -598,6 +647,18 @@ class TestStreamCLI:
         assert "windows:" in out
         assert "TierDesign" in out
 
+    def test_window_env_reaches_the_stream(self, capsys, monkeypatch):
+        """An absent --window falls through to REPRO_STREAM_WINDOW_MS; a
+        given one beats it."""
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_STREAM_WINDOW_MS", "300000")
+        argv = ["--flows", "40", "stream", "eu_isp", "--duration", "1800"]
+        assert main(argv + ["--no-cache"]) == 0
+        assert "windows: 6 total" in capsys.readouterr().out
+        assert main(argv + ["--no-cache", "--window", "600"]) == 0
+        assert "windows: 3 total" in capsys.readouterr().out
+
     def test_stream_emits_metrics(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -644,7 +705,13 @@ class TestCheckpointLoad:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("next_start", "abc"), ("max_ts", None), ("late_dropped", 1.5), ("max_ts", True)],
+        [
+            ("next_start", "abc"),
+            ("max_ts", None),
+            ("late_dropped", 1.5),
+            ("max_ts", True),
+            ("max_ts", 2**70),
+        ],
     )
     def test_windower_cursor_must_be_integers(self, source, trace, tmp_path, field, value):
         import json
@@ -657,6 +724,51 @@ class TestCheckpointLoad:
         ckpt.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=field):
             load_checkpoint(ckpt, digest)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("blocked", []), ("dropped", None), ("high_watermark", "x"), ("dropped", -1)],
+    )
+    def test_queue_counters_must_be_integers(self, source, trace, tmp_path, field, value):
+        import json
+
+        from repro.stream import load_checkpoint
+
+        ckpt, digest = self._written(source, trace, tmp_path)
+        payload = json.loads(ckpt.read_text())
+        payload["queue"][field] = value
+        ckpt.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=field):
+            load_checkpoint(ckpt, digest)
+
+    def test_mutated_checkpoints_restore_or_raise_typed(self, source, trace, tmp_path):
+        """Seeded mutation fuzz: every truncated, byte-flipped or
+        leaf-replaced checkpoint either restores and runs or raises a
+        ReproError."""
+        import numpy as np
+
+        from repro.errors import ReproError
+
+        ckpt = tmp_path / "stream.ckpt.json"
+
+        def pipeline():
+            return make_pipeline(
+                source, trace, checkpoint_path=ckpt, window_ms=300_000
+            )
+
+        pipeline().run(max_windows=2)
+        good = ckpt.read_bytes()
+        fields = leaf_fields(json.loads(good))
+        rng = np.random.default_rng(0)
+        for i in range(400):
+            data, mutation = mutate(good, fields, rng)
+            ckpt.write_bytes(data)
+            try:
+                pipeline().run(max_windows=4)
+            except ReproError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"mutation {i} ({mutation}) escaped: {exc!r}")
 
     @pytest.mark.parametrize("value", ["3", 1.5, True, -1])
     def test_posted_tiers_must_be_an_integer(self, source, trace, tmp_path, value):
