@@ -18,8 +18,9 @@ server, is ``QuoteEngine.quote_batch`` over a
   shards, and one-shard-at-a-time snapshot cutover (old segments are
   unlinked only after every reader detached).
 * :mod:`~repro.fleet.frontdoor` — :class:`FrontDoor`: an asyncio socket
-  front-end (length-prefixed JSON frames) that batches requests per
-  shard behind bounded admission queues (drop-oldest shedding, degraded
+  front-end (length-prefixed JSON frames), columnar from the socket to
+  the shard and back, that batches each frame's rows per shard behind
+  admission queues bounded in rows (drop-oldest shedding, degraded
   blended-rate answers), plus :class:`FleetClient` and the socket load
   generator behind ``python -m repro fleet --selftest``.
 

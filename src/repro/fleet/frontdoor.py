@@ -17,17 +17,19 @@ A frame that is JSON but not a quote or stats request gets an
 its own ``{"error": ...}`` entry; a frame too large to be honest, or a
 body that is not JSON, closes the connection (``fleet.bad_frames``).
 
-Inside, the front door is a per-shard fan-in: each parsed request is
-routed by destination hash onto its shard's admission queue, a deque
-holding at most ``queue_depth`` requests.  A full queue sheds the
-*oldest* waiting request, which resolves immediately as a degraded
-blended-rate quote, counted in ``fleet.shed``.  One dispatcher task per
-shard gulps up to ``max_batch`` requests and round-trips them to its
-worker via :meth:`~repro.fleet.shard.ShardFleet.quote_shard` on an
-executor thread, so the event loop never blocks on a pipe and distinct
-shards price concurrently.  Admission and shedding live in this
-module; every answer, degraded ones included, is built by
-:func:`~repro.serve.engine.quotes_from_columns`.
+Inside, the front door is columnar from the socket to the shard and
+back.  One pass over a frame's ``quotes`` checks each row and appends it
+to its shard's columns (routed by :func:`~repro.fleet.shard.shard_of`),
+so a frame becomes at most one slice per shard, waiting with one
+future.  A shard's admission queue holds slices, bounded at
+``queue_depth`` rows: an overflow evicts the *oldest* rows (splitting a
+slice if it must), answered at once as degraded blended-rate quotes and
+counted per row in ``fleet.shed``.  One dispatcher task per shard joins
+the slices at its queue's head into a batch of up to ``max_batch`` rows
+and round-trips it via :meth:`~repro.fleet.shard.ShardFleet.quote_shard`
+on an executor thread, so the loop never blocks on a pipe.  Every
+answer is a row of :func:`~repro.serve.engine.quote_rows`, built from
+the shard's payload columns.
 """
 
 from __future__ import annotations
@@ -39,23 +41,29 @@ import json
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro import obs
 from repro.config import FleetConfig
 from repro.errors import DataError, ReproError
 from repro.obs import METRICS
-from repro.serve.engine import Quote, QuoteRequest
+from repro.serve.engine import (
+    REQUEST_DEFAULTS,
+    RequestColumns,
+    check_request,
+    quote_rows,
+)
 from repro.fleet.shard import ShardFleet, shard_of
+
+if TYPE_CHECKING:
+    from repro.serve.engine import QuoteRequest
 
 _FRAME_LEN = struct.Struct(">I")
 #: Largest accepted frame (requests and replies), in bytes.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
-#: QuoteRequest fields a frame's quote objects may carry.
-_REQUEST_FIELDS = frozenset(
-    ("dst", "volume_mbps", "distance_miles", "region", "regime")
-)
+#: The fields a frame's quote objects may carry.
+_REQUEST_FIELDS = frozenset(REQUEST_DEFAULTS)
 
 
 def encode_frame(payload: dict) -> bytes:
@@ -86,45 +94,74 @@ async def read_frame(reader: asyncio.StreamReader):
         raise DataError(f"malformed frame: {exc}") from None
 
 
-def quote_to_wire(quote: Quote) -> dict:
-    return {
-        "unit_price": quote.unit_price,
-        "tier": quote.tier,
-        "known": quote.known,
-        "degraded": quote.degraded,
-        "unit_cost": quote.unit_cost,
-        "profit_contribution": quote.profit_contribution,
-        "snapshot_version": quote.snapshot_version,
-        "snapshot_digest": quote.snapshot_digest,
-        "reason": quote.reason,
-    }
+class _Slice:
+    """One frame's rows bound for one shard: they queue, split, shed and
+    are answered as one unit, with one future.  Row ``j`` answers
+    ``answers[rows[j]]``; rows ``start:`` are still queued."""
 
+    __slots__ = ("columns", "pinned", "rows", "answers", "start", "pending",
+                 "future", "submitted_at")
 
-def _parse_request(obj) -> QuoteRequest:
-    if not isinstance(obj, dict):
-        raise DataError(f"quote must be an object, got {type(obj).__name__}")
-    unknown = set(obj) - _REQUEST_FIELDS
-    if unknown:
-        raise DataError(f"unknown quote field(s) {sorted(unknown)}")
-    return QuoteRequest(**obj)
-
-
-class _PendingItem:
-    """One routed request waiting in a shard's admission queue."""
-
-    __slots__ = ("request", "future", "submitted_at")
-
-    def __init__(self, request: QuoteRequest, future: asyncio.Future) -> None:
-        self.request = request
+    def __init__(self, answers: list, future: asyncio.Future) -> None:
+        self.columns = RequestColumns([], [], [], [], [])
+        self.pinned = False  # some row carries a region or a regime
+        self.rows: "list[int]" = []
+        self.answers = answers
+        self.start = self.pending = 0
         self.future = future
         self.submitted_at = time.perf_counter()
 
-    def resolve(self, quote: Quote) -> None:
-        if not self.future.done():
-            METRICS.observe_latency(
-                "fleet.request", time.perf_counter() - self.submitted_at
-            )
-            self.future.set_result(quote)
+    def answer(self, lo: int, hi: int, rows: "list[dict]") -> None:
+        """Answer rows ``lo:hi`` with wire ``rows``."""
+        if self.future.done():  # the frame's task was cancelled
+            return
+        for at, row in zip(self.rows[lo:hi], rows):
+            self.answers[at] = row
+        METRICS.observe_latency(
+            "fleet.request", time.perf_counter() - self.submitted_at, hi - lo
+        )
+        self.pending -= hi - lo
+        if not self.pending:
+            self.future.set_result(None)
+
+
+def _parse_quotes(raw: list, n_shards: int, new_future) -> tuple:
+    """One pass over a frame's ``quotes``: ``(answers, slices by shard,
+    bad rows)``, each bad row already answered with its own error."""
+    answers: list = [None] * len(raw)
+    slices: "dict[int, _Slice]" = {}
+    bad = 0
+    for i, obj in enumerate(raw):
+        try:
+            if not isinstance(obj, dict):
+                raise DataError(
+                    f"quote must be an object, got {type(obj).__name__}"
+                )
+            if not obj.keys() <= _REQUEST_FIELDS:
+                unknown = sorted(obj.keys() - _REQUEST_FIELDS)
+                raise DataError(f"unknown quote field(s) {unknown}")
+            row = {**REQUEST_DEFAULTS, **obj}
+            dst, region, regime = row["dst"], row["region"], row["regime"]
+            volume, distance = row["volume_mbps"], row["distance_miles"]
+            check_request(dst, volume, distance, region, regime)
+        except (ReproError, TypeError) as exc:
+            bad += 1
+            answers[i] = {"error": f"{type(exc).__name__}: {exc}"}
+            continue
+        sid = shard_of(dst, n_shards)
+        piece = slices.get(sid)
+        if piece is None:
+            piece = slices[sid] = _Slice(answers, new_future())
+        columns = piece.columns
+        columns.dsts.append(dst)
+        columns.volumes_mbps.append(volume)
+        columns.distances_miles.append(distance)
+        columns.regions.append(region)
+        columns.regimes.append(regime)
+        if region is not None or regime is not None:
+            piece.pinned = True
+        piece.rows.append(i)
+    return answers, slices, bad
 
 
 class FrontDoor:
@@ -139,7 +176,8 @@ class FrontDoor:
         self.port: "Optional[int]" = None  # bound port, known after start
         self._server: "Optional[asyncio.base_events.Server]" = None
         self._pool: "Optional[ThreadPoolExecutor]" = None
-        self._queues: "list[collections.deque[_PendingItem]]" = []
+        self._queues: "list[collections.deque[_Slice]]" = []
+        self._queued: "list[int]" = []  # rows queued, by shard
         self._wakeups: "list[asyncio.Event]" = []
         self._dispatchers: "list[asyncio.Task]" = []
         self.shed = 0
@@ -154,6 +192,7 @@ class FrontDoor:
             max_workers=n, thread_name_prefix="fleet-dispatch"
         )
         self._queues = [collections.deque() for _ in range(n)]
+        self._queued = [0] * n
         self._wakeups = [asyncio.Event() for _ in range(n)]
         self._dispatchers = [
             asyncio.create_task(
@@ -183,11 +222,11 @@ class FrontDoor:
             except asyncio.CancelledError:
                 pass
         self._dispatchers = []
-        for queue in self._queues:
-            while queue:
-                item = queue.popleft()
-                item.resolve(
-                    self.fleet.degraded_quotes(1, "front door stopped")[0]
+        for sid, queued in enumerate(self._queued):
+            if queued:
+                self._answer(
+                    self._take(sid, queued),
+                    self.fleet.degraded_payload(queued, "front door stopped"),
                 )
         if self._pool is not None:
             self._pool.shutdown(wait=True)
@@ -276,48 +315,79 @@ class FrontDoor:
                 "error": "frame needs a non-empty 'quotes' array "
                 "(or 'op': 'stats')",
             }
-        loop = asyncio.get_running_loop()
-        futures: "list[asyncio.Future]" = []
-        answers: "list[Optional[dict]]" = [None] * len(raw)
-        for i, obj in enumerate(raw):
-            try:
-                request = _parse_request(obj)
-            except (ReproError, TypeError) as exc:
-                METRICS.incr("fleet.bad_requests")
-                answers[i] = {"error": f"{type(exc).__name__}: {exc}"}
-                continue
-            future = loop.create_future()
-            futures.append(future)
-            sid = shard_of(request.dst, self.fleet.n_shards)
-            METRICS.incr("fleet.requests")
-            queue = self._queues[sid]
-            if len(queue) >= self.config.queue_depth:
-                self._shed(queue.popleft())
-            queue.append(_PendingItem(request, future))
-            self._wakeups[sid].set()
-        quotes = await asyncio.gather(*futures) if futures else []
-        it = iter(quotes)
-        for i in range(len(raw)):
-            if answers[i] is None:
-                answers[i] = quote_to_wire(next(it))
+        answers, slices, bad = _parse_quotes(
+            raw, self.fleet.n_shards, asyncio.get_running_loop().create_future
+        )
+        if bad:
+            METRICS.incr("fleet.bad_requests", bad)
+        if len(raw) > bad:
+            METRICS.incr("fleet.requests", len(raw) - bad)
+        for sid, piece in slices.items():
+            self._admit(sid, piece)
+        for piece in slices.values():
+            await piece.future
         return {"id": frame_id, "quotes": answers}
 
     # ------------------------------------------------------------------
-    # Shard dispatch
+    # Admission queues and shard dispatch
     # ------------------------------------------------------------------
 
-    def _shed(self, item: _PendingItem) -> None:
-        """Admission-queue eviction: the shed request still gets an answer.
+    def _admit(self, sid: int, piece: _Slice) -> None:
+        """Queue a slice, then shed the oldest rows past ``queue_depth``
+        (on the loop thread, so their answers are written at once)."""
+        piece.pending = len(piece.rows)
+        self._queues[sid].append(piece)
+        self._queued[sid] += piece.pending
+        excess = self._queued[sid] - self.config.queue_depth
+        if excess > 0:
+            self.shed += excess
+            METRICS.incr("fleet.shed", excess)
+            obs.event("fleet.shed", requests=excess)
+            self._answer(
+                self._take(sid, excess),
+                self.fleet.degraded_payload(
+                    excess, "shed by admission control"
+                ),
+            )
+        self._wakeups[sid].set()
 
-        Runs on the event-loop thread (admission only happens there), so
-        resolving the future directly is safe.
-        """
-        self.shed += 1
-        METRICS.incr("fleet.shed")
-        obs.event("fleet.shed")
-        item.resolve(
-            self.fleet.degraded_quotes(1, "shed by admission control")[0]
-        )
+    def _take(self, sid: int, n: int) -> "list[tuple[_Slice, int, int]]":
+        """Dequeue the oldest ``n`` rows of a shard's queue as ``(slice,
+        lo, hi)`` parts, splitting the last slice if it must."""
+        queue = self._queues[sid]
+        parts = []
+        while n and queue:
+            piece = queue[0]
+            lo = piece.start
+            hi = min(len(piece.rows), lo + n)
+            parts.append((piece, lo, hi))
+            n -= hi - lo
+            self._queued[sid] -= hi - lo
+            piece.start = hi
+            if hi == len(piece.rows):
+                queue.popleft()
+        return parts
+
+    @staticmethod
+    def _answer(parts, payload: dict) -> None:
+        """Answer ``parts`` in order with the rows of one payload."""
+        rows = quote_rows(payload, sum(hi - lo for _, lo, hi in parts))
+        at = 0
+        for piece, lo, hi in parts:
+            piece.answer(lo, hi, rows[at : at + hi - lo])
+            at += hi - lo
+
+    @staticmethod
+    def _batch(parts) -> RequestColumns:
+        """The columns of ``parts``, joined (regions and regimes only if
+        some row carries one)."""
+        joined: "list[Optional[list]]" = [[], [], [], [], []]
+        for piece, lo, hi in parts:
+            for into, column in zip(joined, piece.columns.as_args()):
+                into += column[lo:hi]
+        if not any(piece.pinned for piece, _, _ in parts):
+            joined[3] = joined[4] = None
+        return RequestColumns(*joined)
 
     async def _dispatch_loop(self, sid: int) -> None:
         queue = self._queues[sid]
@@ -327,28 +397,23 @@ class FrontDoor:
             await wakeup.wait()
             wakeup.clear()
             while queue:
-                batch = [
-                    queue.popleft()
-                    for _ in range(min(len(queue), self.config.max_batch))
-                ]
+                parts = self._take(sid, self.config.max_batch)
+                batch = self._batch(parts)
                 try:
-                    quotes = await loop.run_in_executor(
-                        self._pool,
-                        self.fleet.quote_shard,
-                        sid,
-                        [item.request for item in batch],
+                    payload = await loop.run_in_executor(
+                        self._pool, self.fleet.quote_shard, sid, batch
                     )
                 except asyncio.CancelledError:
                     # stop() cancelled us mid-round-trip; the batch still
                     # owes its callers an answer.
-                    quotes = self.fleet.degraded_quotes(
-                        len(batch), "front door stopped"
+                    self._answer(
+                        parts,
+                        self.fleet.degraded_payload(
+                            len(batch), "front door stopped"
+                        ),
                     )
-                    for item, quote in zip(batch, quotes):
-                        item.resolve(quote)
                     raise
-                for item, quote in zip(batch, quotes):
-                    item.resolve(quote)
+                self._answer(parts, payload)
 
 
 # ----------------------------------------------------------------------

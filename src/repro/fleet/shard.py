@@ -44,14 +44,7 @@ from repro import obs
 from repro.config import FleetConfig
 from repro.core.cost import CostModel
 from repro.obs import METRICS
-from repro.serve.engine import (
-    Quote,
-    QuoteEngine,
-    QuoteRequest,
-    degraded_columns,
-    quotes_from_columns,
-    request_columns,
-)
+from repro.serve.engine import QuoteEngine, RequestColumns, degraded_columns
 from repro.serve.registry import SnapshotRegistry
 from repro.serve.snapshot import PricingSnapshot
 from repro.fleet.shm import AttachedSnapshot, SharedSnapshot
@@ -353,48 +346,47 @@ class ShardFleet:
     def quote_shard(
         self,
         shard_id: int,
-        requests: "list[QuoteRequest]",
+        batch: RequestColumns,
         timeout_s: "Optional[float]" = None,
-    ) -> "list[Quote]":
+    ) -> dict:
         """Round-trip one batch to one shard (the front door's unit).
 
-        The batch crosses the pipe as the columns of
-        :func:`~repro.serve.engine.request_columns` and comes back as the
-        shard engine's :meth:`~repro.serve.engine.QuoteEngine.quote_columns`
-        payload.  Route a batch with :func:`shard_of` first: a shard
-        prices any destination it is sent.
+        The batch crosses the pipe as its columns; the shard engine's
+        :meth:`~repro.serve.engine.QuoteEngine.quote_columns` payload
+        (or :meth:`degraded_payload`) comes back, for
+        :func:`~repro.serve.engine.quote_rows` to answer from.  Route a
+        batch with :func:`shard_of` first: a shard prices any
+        destination it is sent.
         """
         if timeout_s is None:
             timeout_s = self.config.timeout_ms / 1000.0
         shard = self._shards[shard_id]
         if shard is None or shard.dead:
-            return self.degraded_quotes(len(requests), "shard down")
+            return self.degraded_payload(len(batch), "shard down")
         with self._batch_lock:
             self._batch_counter += 1
             batch_id = self._batch_counter
-        columns = request_columns(requests)
         with shard.lock:
             if shard.dead:
-                return self.degraded_quotes(len(requests), "shard down")
+                return self.degraded_payload(len(batch), "shard down")
             try:
-                shard.conn.send(("quotec", batch_id, *columns))
+                shard.conn.send(("quotec", batch_id, *batch.as_args()))
                 reply = self._recv(shard, timeout_s)
                 if reply[0] != "quotesc" or reply[1] != batch_id:
                     raise OSError(f"mismatched reply {reply[:2]!r}")
             except (EOFError, OSError, BrokenPipeError, TimeoutError):
                 self._declare_dead(shard)
-                return self.degraded_quotes(len(requests), "shard crashed")
+                return self.degraded_payload(len(batch), "shard crashed")
         METRICS.incr("fleet.batches")
-        return quotes_from_columns(reply[2], len(requests))
+        return reply[2]
 
-    def degraded_quotes(self, n: int, reason: str) -> "list[Quote]":
-        """``n`` blended-rate answers for requests no shard priced,
+    def degraded_payload(self, n: int, reason: str) -> dict:
+        """The blended-rate payload for ``n`` requests no shard priced,
         counted in ``fleet.degraded``."""
         METRICS.incr("fleet.degraded", n)
         obs.event("fleet.degraded", reason=reason, requests=n)
-        return quotes_from_columns(
-            degraded_columns(reason, self._snapshot, self.fallback_blended_rate),
-            n,
+        return degraded_columns(
+            reason, self._snapshot, self.fallback_blended_rate
         )
 
     def _recv(self, shard: _Shard, timeout_s: float):

@@ -54,12 +54,16 @@ class _Reservoir:
         self.samples: "list[float]" = []
         self.count = 0
 
-    def add(self, value: float) -> None:
-        if len(self.samples) < RESERVOIR_CAPACITY:
-            self.samples.append(value)
-        else:
-            self.samples[self.count % RESERVOIR_CAPACITY] = value
-        self.count += 1
+    def add(self, value: float, n: int = 1) -> None:
+        """Add ``n`` samples of ``value`` (past the capacity, the ring
+        would only overwrite them with themselves)."""
+        samples = self.samples
+        for at in range(self.count, self.count + min(n, RESERVOIR_CAPACITY)):
+            if len(samples) < RESERVOIR_CAPACITY:
+                samples.append(value)
+            else:
+                samples[at % RESERVOIR_CAPACITY] = value
+        self.count += n
 
     def quantiles(
         self, qs: Sequence[float] = LATENCY_QUANTILES
@@ -110,8 +114,9 @@ class Metrics:
         finally:
             self.observe(name, time.perf_counter() - start)
 
-    def observe_latency(self, name: str, seconds: float) -> None:
-        """Record one sample in the named bounded latency reservoir.
+    def observe_latency(self, name: str, seconds: float, n: int = 1) -> None:
+        """Record ``n`` equal samples in the named bounded latency
+        reservoir (one per request a batch answered at once).
 
         Unlike :meth:`observe`, which only accumulates totals, reservoir
         samples feed tail quantiles (:meth:`latency_quantiles`, and the
@@ -119,7 +124,7 @@ class Metrics:
         """
         with self._lock:
             reservoir = self._latencies.setdefault(name, _Reservoir())
-            reservoir.add(float(seconds))
+            reservoir.add(float(seconds), n)
 
     @contextlib.contextmanager
     def latency(self, name: str) -> Iterator[None]:

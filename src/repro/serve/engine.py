@@ -10,10 +10,14 @@ scaled by the snapshot's calibration).
 Batches are the native shape, and columns are the native batch:
 :meth:`QuoteEngine.quote_columns` is the one pricing core (one snapshot
 grab, one vectorized destination→tier lookup, one cost-model pass — no
-per-flow Python loop), and :func:`quotes_from_columns` is the one place
-:class:`Quote` objects are built.  :meth:`QuoteEngine.quote_batch` and
-:meth:`QuoteEngine.quote` are adapters over the two; the shard fleet
-sends the same columns over its pipes.
+per-flow Python loop), and :func:`quote_rows` is the one place its
+payload becomes answers: wire rows for the fleet's front door, and
+through :func:`quotes_from_columns`, :class:`Quote` objects.
+:meth:`QuoteEngine.quote_batch` and :meth:`QuoteEngine.quote` are
+adapters over the two; the shard fleet sends the same columns
+(:class:`RequestColumns`) over its pipes.  :func:`check_request` holds
+the one set of request checks, which :class:`QuoteRequest` and the
+front door's column parse both run.
 
 Degradation, not exceptions, is the failure mode: with no snapshot
 published (or a request pinned to a different regime than the active
@@ -62,31 +66,41 @@ class QuoteRequest:
     regime: Optional[str] = None
 
     def __post_init__(self) -> None:
-        # Straight-line checks: every front-door quote builds a request.
-        if not (isinstance(self.dst, str) or self.dst is None):
-            raise DataError(
-                f"quote dst must be a string or null, got "
-                f"{type(self.dst).__name__}"
-            )
-        if not (self.regime is None or isinstance(self.regime, str)):
-            raise DataError(
-                f"quote regime must be a string or null, got "
-                f"{type(self.regime).__name__}"
-            )
-        if not math.isfinite(self.volume_mbps) or self.volume_mbps <= 0:
-            raise DataError(
-                f"quote volume must be positive, got {self.volume_mbps!r}"
-            )
-        if not math.isfinite(self.distance_miles) or self.distance_miles < 0:
-            raise DataError(
-                f"quote distance must be non-negative, got "
-                f"{self.distance_miles!r}"
-            )
-        if self.region is not None and self.region not in VALID_REGIONS:
-            raise DataError(
-                f"unknown region {self.region!r}; expected one of "
-                f"{VALID_REGIONS}"
-            )
+        check_request(
+            self.dst, self.volume_mbps, self.distance_miles, self.region,
+            self.regime,
+        )
+
+
+#: The fields a quote request carries, with their defaults.
+REQUEST_DEFAULTS = {f.name: f.default for f in dataclasses.fields(QuoteRequest)}
+
+
+def check_request(dst, volume_mbps, distance_miles, region, regime) -> None:
+    """The one set of request checks, run by :class:`QuoteRequest` and by
+    the front door's column parse: a ``DataError`` for a field out of its
+    domain, a ``TypeError`` for a volume or distance that is no number.
+    """
+    # Straight-line checks: this runs once per quote served.
+    if not (isinstance(dst, str) or dst is None):
+        raise DataError(
+            f"quote dst must be a string or null, got {type(dst).__name__}"
+        )
+    if not (regime is None or isinstance(regime, str)):
+        raise DataError(
+            f"quote regime must be a string or null, got "
+            f"{type(regime).__name__}"
+        )
+    if not math.isfinite(volume_mbps) or volume_mbps <= 0:
+        raise DataError(f"quote volume must be positive, got {volume_mbps!r}")
+    if not math.isfinite(distance_miles) or distance_miles < 0:
+        raise DataError(
+            f"quote distance must be non-negative, got {distance_miles!r}"
+        )
+    if region is not None and region not in VALID_REGIONS:
+        raise DataError(
+            f"unknown region {region!r}; expected one of {VALID_REGIONS}"
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,7 +178,7 @@ class QuoteEngine:
         requests = list(requests)
         if not requests:
             return []
-        payload = self.quote_columns(*request_columns(requests))
+        payload = self.quote_columns(*request_columns(requests).as_args())
         return quotes_from_columns(payload, len(requests))
 
     def quote_columns(
@@ -178,8 +192,8 @@ class QuoteEngine:
         state; a row pinned to another regime degrades on its own.
 
         Returns a dict of flat columns that pickles at buffer-copy speed
-        (the shard pipe carries it as is) and that
-        :func:`quotes_from_columns` turns into quotes: the
+        (the shard pipe carries it as is) and that :func:`quote_rows`
+        turns into answers: the
         :func:`degraded_columns` payload when no snapshot is published,
         else ``prices``, ``tiers``, ``unit_costs`` and ``profits`` arrays
         aligned to the input plus ``reasons``, the degraded rows' reasons
@@ -267,19 +281,38 @@ class QuoteEngine:
 # ----------------------------------------------------------------------
 
 
-def request_columns(requests: "Sequence[QuoteRequest]") -> tuple:
-    """Requests as the columns :meth:`QuoteEngine.quote_columns` takes.
+class RequestColumns:
+    """Quote requests as columns: the batch :meth:`QuoteEngine.quote_columns`
+    prices and the shard pipe carries.  ``len()`` is the row count;
+    ``regions`` and ``regimes`` are ``None`` unless a row carries one."""
 
-    The ``regions`` and ``regimes`` columns are ``None`` unless some
-    request carries a region or a regime, so an unpinned batch is three
-    flat lists.
-    """
+    __slots__ = ("dsts", "volumes_mbps", "distances_miles", "regions", "regimes")
+
+    def __init__(
+        self, dsts, volumes_mbps, distances_miles, regions=None, regimes=None
+    ) -> None:
+        self.dsts = dsts
+        self.volumes_mbps = volumes_mbps
+        self.distances_miles = distances_miles
+        self.regions = regions
+        self.regimes = regimes
+
+    def __len__(self) -> int:
+        return len(self.dsts)
+
+    def as_args(self) -> tuple:
+        """The columns, in :meth:`QuoteEngine.quote_columns` order."""
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+
+def request_columns(requests: "Sequence[QuoteRequest]") -> RequestColumns:
+    """Requests as the columns :meth:`QuoteEngine.quote_columns` takes."""
     pinned = False
     for r in requests:  # a plain loop: this runs once per quote served
         if r.region is not None or r.regime is not None:
             pinned = True
             break
-    return (
+    return RequestColumns(
         [r.dst for r in requests],
         [r.volume_mbps for r in requests],
         [r.distance_miles for r in requests],
@@ -306,49 +339,57 @@ def degraded_columns(
     }
 
 
-def quotes_from_columns(payload: dict, n: int) -> "list[Quote]":
-    """Build the ``n`` quotes of one :meth:`QuoteEngine.quote_columns` or
-    :func:`degraded_columns` payload.
+def quote_rows(payload: dict, n: int) -> "list[dict]":
+    """The ``n`` answers of one :meth:`QuoteEngine.quote_columns` or
+    :func:`degraded_columns` payload, as wire rows keyed by
+    :class:`Quote`'s fields, in order.
 
-    The one place quotes are made: the engine, the shard fleet and the
-    front door all answer through it, degraded answers included.
-    Degraded quotes price at the blended rate with no tier, cost or
-    profit attribution.
+    The one place answers are made: the front door sends these rows, and
+    :func:`quotes_from_columns` makes them quotes.  Degraded answers
+    price at the blended rate with no tier, cost or profit attribution.
     """
     version = payload["version"]
     digest = payload["digest"]
-    if payload["degraded"]:
-        quotes: "list[Optional[Quote]]" = [None] * n
-        reasons = dict.fromkeys(range(n), payload["reason"])
-    else:
-        quotes = [
-            Quote(
-                unit_price=price,
-                tier=tier if tier else None,  # UNKNOWN_TIER is 0
-                known=tier != 0,
-                degraded=False,
-                unit_cost=cost,
-                profit_contribution=profit,
-                snapshot_version=version,
-                snapshot_digest=digest,
-            )
-            for price, tier, cost, profit in zip(
-                payload["prices"].tolist(),
-                payload["tiers"].tolist(),
-                payload["unit_costs"].tolist(),
-                payload["profits"].tolist(),
-            )
-        ]
-        reasons = payload["reasons"] or {}
     blended = float(payload["blended"])
-    for i, reason in reasons.items():
-        quotes[i] = Quote(
-            unit_price=blended,
-            tier=None,
-            known=False,
-            degraded=True,
-            snapshot_version=version,
-            snapshot_digest=digest,
-            reason=reason,
+
+    def degraded(reason: str) -> dict:
+        return {"unit_price": blended, "tier": None, "known": False,
+                "degraded": True, "unit_cost": None, "profit_contribution": None,
+                "snapshot_version": version, "snapshot_digest": digest,
+                "reason": reason}
+
+    if payload["degraded"]:
+        return [degraded(payload["reason"]) for _ in range(n)]
+    rows = [
+        {
+            "unit_price": price,
+            "tier": tier if tier else None,  # UNKNOWN_TIER is 0
+            "known": tier != 0,
+            "degraded": False,
+            "unit_cost": cost,
+            "profit_contribution": profit,
+            "snapshot_version": version,
+            "snapshot_digest": digest,
+            "reason": None,
+        }
+        for price, tier, cost, profit in zip(
+            payload["prices"].tolist(),
+            payload["tiers"].tolist(),
+            payload["unit_costs"].tolist(),
+            payload["profits"].tolist(),
         )
-    return quotes  # type: ignore[return-value]
+    ]
+    for i, reason in (payload["reasons"] or {}).items():
+        rows[i] = degraded(reason)
+    return rows
+
+
+def quotes_from_columns(payload: dict, n: int) -> "list[Quote]":
+    """The ``n`` quotes of one payload: :func:`quote_rows` as
+    :class:`Quote` objects."""
+    return [Quote(**row) for row in quote_rows(payload, n)]
+
+
+def quote_to_wire(quote: Quote) -> dict:
+    """A quote as the wire row :func:`quote_rows` makes for it."""
+    return dataclasses.asdict(quote)

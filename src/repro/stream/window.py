@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.flow import FlowSet
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DataError
 from repro.netflow.aggregation import aggregate_to_flowset
 from repro.netflow.collector import FlowCollector
 from repro.netflow.records import RecordBatch
@@ -262,7 +262,28 @@ class Windower:
         }
 
     def restore(self, state: dict) -> None:
-        """Rebuild buffered state from :meth:`state` output."""
+        """Rebuild buffered state from :meth:`state` output.
+
+        Raises:
+            DataError: The cursor is not one this windower could have
+                written: after every call, the next window to close
+                ends past the watermark (``max_ts - reorder_tolerance_ms
+                < next_start + window_ms``) and starts at most one slide
+                past ``max_ts``.  A cursor far behind would close windows
+                one slide at a time, for as long as the gap takes.
+        """
+        next_start, max_ts = state["next_start"], state["max_ts"]
+        if next_start is not None and not (
+            max_ts - self.reorder_tolerance_ms - self.window_ms
+            < next_start
+            <= max_ts + self.slide_ms
+        ):
+            raise DataError(
+                f"windower cursor next_start={next_start} is not one a "
+                f"{self.window_ms} ms window sliding {self.slide_ms} ms "
+                f"could leave at max_ts={max_ts} (reorder tolerance "
+                f"{self.reorder_tolerance_ms} ms)"
+            )
         self._next_start = state["next_start"]
         self._max_ts = state["max_ts"]
         self.late_dropped = state["late_dropped"]

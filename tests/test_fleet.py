@@ -34,7 +34,7 @@ from repro.fleet import (
     segment_name,
     shard_of,
 )
-from repro.fleet.frontdoor import encode_frame, quote_to_wire, read_frame
+from repro.fleet.frontdoor import encode_frame, read_frame
 from repro.obs import METRICS
 from repro.serve import (
     PricingSnapshot,
@@ -43,7 +43,11 @@ from repro.serve import (
     SnapshotRegistry,
     generate_requests,
 )
-from repro.serve.engine import quotes_from_columns
+from repro.serve.engine import (
+    quote_to_wire,
+    quotes_from_columns,
+    request_columns,
+)
 from repro.stream.repricer import DesignPublication
 
 P0 = 20.0
@@ -297,6 +301,12 @@ class TestRouting:
 # ----------------------------------------------------------------------
 
 
+def quote_shard(fleet, sid, requests):
+    """Round-trip ``requests`` to one shard; its answers as quotes."""
+    payload = fleet.quote_shard(sid, request_columns(requests))
+    return quotes_from_columns(payload, len(requests))
+
+
 def quote_routed(fleet, requests):
     """Price ``requests`` shard by shard, each routed by ``shard_of`` (the
     front door's routing, without its queues); answers in request order."""
@@ -305,7 +315,7 @@ def quote_routed(fleet, requests):
         parts.setdefault(shard_of(request.dst, fleet.n_shards), []).append(i)
     quotes = [None] * len(requests)
     for sid, indices in parts.items():
-        answers = fleet.quote_shard(sid, [requests[i] for i in indices])
+        answers = quote_shard(fleet, sid, [requests[i] for i in indices])
         for i, quote in zip(indices, answers):
             quotes[i] = quote
     return quotes
@@ -394,7 +404,8 @@ class TestShardFleet:
         fresh = shm_segments()
         assert len(fresh) == 1
         assert fresh != old_segments
-        quotes = fleet.quote_shard(
+        quotes = quote_shard(
+            fleet,
             shard_of("10.0.0.1", fleet.n_shards),
             [QuoteRequest(dst="10.0.0.1", volume_mbps=1.0, distance_miles=2.0)],
         )
@@ -448,8 +459,8 @@ class TestShardFleet:
             fleet.publish(snapshot)
             os.kill(fleet.pids()[0], signal.SIGKILL)
             time.sleep(0.05)
-            quotes = fleet.quote_shard(
-                0, [QuoteRequest(dst="10.0.0.1", volume_mbps=1.0)]
+            quotes = quote_shard(
+                fleet, 0, [QuoteRequest(dst="10.0.0.1", volume_mbps=1.0)]
             )
             assert quotes[0].degraded
             assert quotes[0].reason in ("shard crashed", "shard down")
@@ -461,8 +472,8 @@ class TestShardFleet:
         before = METRICS.counter("serve.quotes")
         with fleet:
             fleet.publish(snapshot)
-            fleet.quote_shard(
-                0, generate_requests(50, seed=1, snapshot=snapshot)
+            quote_shard(
+                fleet, 0, generate_requests(50, seed=1, snapshot=snapshot)
             )
             # Workers count their engine work in their own process...
             assert METRICS.counter("serve.quotes") == before
@@ -483,7 +494,8 @@ class TestShardFleet:
         before = fleet.version
         fleet.subscriber("regime-b")(publication)
         assert fleet.version == before + 1
-        quote = fleet.quote_shard(
+        quote = quote_shard(
+            fleet,
             shard_of("10.0.0.1", fleet.n_shards),
             [QuoteRequest(dst="10.0.0.1")],
         )[0]
@@ -1140,6 +1152,196 @@ class TestFrontDoor:
             assert answer["unit_price"] == pytest.approx(P0)
         for answer in answers:
             assert answer["degraded"] == (answer in stopped)
+
+
+def expected_row(obj):
+    """What a front door answers for one wire quote, derived from the
+    in-process API: the frame's checks, then ``QuoteRequest(**obj)``."""
+    if not isinstance(obj, dict):
+        return {
+            "error": f"DataError: quote must be an object, got "
+            f"{type(obj).__name__}"
+        }
+    unknown = set(obj) - {f.name for f in dataclasses.fields(QuoteRequest)}
+    if unknown:
+        return {"error": f"DataError: unknown quote field(s) {sorted(unknown)}"}
+    try:
+        request = QuoteRequest(**obj)
+    except Exception as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return request
+
+
+def odd_quote(rng, destinations):
+    """One seeded wire quote: valid, odd but valid, or bad."""
+    dsts = [*destinations, "203.0.113.7", "198.51.100.1", None]
+    quote = {
+        "dst": dsts[rng.integers(len(dsts))],
+        "volume_mbps": float(rng.uniform(0.5, 50.0)),
+        "distance_miles": float(rng.uniform(0.0, 3000.0)),
+    }
+    numbers = ("3", float("nan"), float("inf"), float("-inf"), 0, 0.0, -2.5,
+               7, True, False, None)
+    kind = int(rng.integers(16))
+    if kind == 0:
+        return ["not-an-object", 7, [1, 2], None][rng.integers(4)]
+    if kind == 1:
+        quote["bogus_field"] = 1
+    elif kind == 2:
+        quote["dst"] = [123, 4.5, ["10.0.0.1"], {"a": 1}][rng.integers(4)]
+    elif kind == 3:
+        quote["regime"] = [5, 1.5, ["regime-a"]][rng.integers(3)]
+    elif kind == 4:
+        quote["volume_mbps"] = numbers[rng.integers(len(numbers))]
+    elif kind == 5:
+        quote["distance_miles"] = numbers[rng.integers(len(numbers))]
+    elif kind == 6:
+        quote["region"] = ["metro", "international", "outer-space", 5, None][
+            rng.integers(5)
+        ]
+    elif kind == 7:
+        quote["regime"] = ["regime-a", "regime-z", None][rng.integers(3)]
+    elif kind == 8:
+        del quote["dst"]
+    elif kind == 9:
+        quote = {"dst": quote["dst"]}  # every other field defaulted
+    elif kind == 10:
+        quote["dst"] = None
+    return quote
+
+
+class TestColumnarFrontDoor:
+    """The front door's column parse, slices and row shedding."""
+
+    def test_column_parse_answers_like_the_in_process_api(
+        self, fleet, snapshot
+    ):
+        """Seeded frames of valid, odd and bad rows over one connection:
+        each row is answered exactly as the in-process API answers it."""
+        rng = np.random.default_rng(2024)
+        frames = [
+            [
+                odd_quote(rng, snapshot.destinations)
+                for _ in range(int(rng.integers(1, 40)))
+            ]
+            for _ in range(200)
+        ]
+        registry = SnapshotRegistry()
+        registry.adopt(snapshot)
+        engine = QuoteEngine(registry, COST_MODEL, P0)
+        expected = []
+        valid = bad = 0
+        for frame in frames:
+            rows = [expected_row(obj) for obj in frame]
+            requests = [r for r in rows if isinstance(r, QuoteRequest)]
+            quotes = iter(engine.quote_batch(requests))
+            expected.append(
+                [
+                    quote_to_wire(next(quotes))
+                    if isinstance(r, QuoteRequest)
+                    else r
+                    for r in rows
+                ]
+            )
+            valid += len(requests)
+            bad += len(rows) - len(requests)
+        assert valid > 1000 and bad > 500
+        names = ("fleet.requests", "fleet.bad_requests")
+        before = {name: METRICS.counter(name) for name in names}
+
+        async def scenario():
+            async with FrontDoor(fleet) as door:
+                async with await FleetClient.connect(
+                    door.host, door.port
+                ) as client:
+                    return [
+                        await asyncio.wait_for(client.quote_batch(f), 5.0)
+                        for f in frames
+                    ]
+
+        replies = asyncio.run(scenario())
+        for got, want in zip(replies, expected):
+            assert [json.dumps(a) for a in got] == [json.dumps(a) for a in want]
+        delta = {name: METRICS.counter(name) - before[name] for name in names}
+        assert delta == {"fleet.requests": valid, "fleet.bad_requests": bad}
+
+    def test_shedding_splits_a_slice_the_shard_is_part_way_through(
+        self, fleet, snapshot, monkeypatch
+    ):
+        """Frame A's first batch is held in the shard; frame B overflows
+        the queue.  The oldest queued rows of A are shed, in request
+        order, splitting A's remainder; every other row is priced."""
+        config = FleetConfig(shards=2, queue_depth=6, max_batch=2)
+        real_quote_shard = fleet.quote_shard
+        entered, gate = threading.Event(), threading.Event()
+
+        def held_quote_shard(sid, batch, timeout_s=None):
+            entered.set()
+            gate.wait(5.0)
+            return real_quote_shard(sid, batch, timeout_s)
+
+        monkeypatch.setattr(fleet, "quote_shard", held_quote_shard)
+        requests = [
+            QuoteRequest(dst="10.0.0.1", volume_mbps=float(i + 1))
+            for i in range(11)
+        ]
+        registry = SnapshotRegistry()
+        registry.adopt(snapshot)
+        priced = QuoteEngine(registry, COST_MODEL, P0).quote_batch(requests)
+        wire = [dataclasses.asdict(r) for r in requests]
+        names = ("fleet.shed", "fleet.degraded", "fleet.requests")
+        before = {name: METRICS.counter(name) for name in names}
+        latencies_before = METRICS.latency_count("fleet.request")
+
+        def moved():
+            delta = {n: METRICS.counter(n) - before[n] for n in names}
+            delta["latencies"] = (
+                METRICS.latency_count("fleet.request") - latencies_before
+            )
+            return delta
+
+        async def until(predicate):
+            deadline = time.monotonic() + 5.0
+            while not predicate():
+                assert time.monotonic() < deadline, "timed out waiting"
+                await asyncio.sleep(0.005)
+
+        async def scenario():
+            async with FrontDoor(fleet, config) as door:
+                async with await FleetClient.connect(
+                    door.host, door.port
+                ) as client:
+                    try:
+                        a = asyncio.create_task(client.quote_batch(wire[:6]))
+                        await until(entered.is_set)
+                        b = asyncio.create_task(client.quote_batch(wire[6:]))
+                        await until(lambda: moved()["fleet.requests"] == 11)
+                        at_shed = (door.shed, moved())
+                        assert not a.done()
+                    finally:
+                        gate.set()
+                    replies = await asyncio.wait_for(asyncio.gather(a, b), 5.0)
+                    return at_shed, replies, door.shed
+
+        (shed_then, moved_then), (a, b), shed = asyncio.run(scenario())
+        # A's rows 0-1 were in the held batch, so the queue of 6 held
+        # rows 2-5; B's 5 rows pushed out the oldest 3, splitting A.
+        assert shed_then == shed == 3
+        assert moved_then == {
+            "fleet.shed": 3, "fleet.degraded": 3, "fleet.requests": 11,
+            "latencies": 3,
+        }
+        answers = a + b
+        for i in (2, 3, 4):
+            assert answers[i]["degraded"]
+            assert answers[i]["reason"] == "shed by admission control"
+            assert answers[i]["unit_price"] == pytest.approx(P0)
+        for i in (0, 1, 5, 6, 7, 8, 9, 10):
+            assert answers[i] == quote_to_wire(priced[i])
+        assert moved() == {
+            "fleet.shed": 3, "fleet.degraded": 3, "fleet.requests": 11,
+            "latencies": 11,
+        }
 
 
 # ----------------------------------------------------------------------

@@ -232,6 +232,37 @@ class TestWindower:
         with pytest.raises(ConfigurationError):
             Windower(100, reorder_tolerance_ms=-1)
 
+    def test_restore_takes_only_a_cursor_the_windower_could_write(self):
+        w = Windower(window_ms=100, slide_ms=50, reorder_tolerance_ms=20)
+        w.ingest(batch(record(key(1), 0, 10), record(key(2), 300, 310)))
+        state = w.state()
+        assert state["max_ts"] == 310
+        # Open: the next window must end past the watermark (310 - 20)
+        # and start at most one slide past max_ts.
+        for next_start in (191, 250, 360, None):
+            Windower(100, 50, 20).restore({**state, "next_start": next_start})
+        for next_start in (190, 361, -10**12):
+            with pytest.raises(DataError, match="next_start"):
+                Windower(100, 50, 20).restore({**state, "next_start": next_start})
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        window=st.integers(1, 500),
+        slide_share=st.floats(0.0, 1.0),
+        tolerance=st.integers(0, 300),
+        stamps=st.lists(st.integers(0, 5_000), min_size=1, max_size=30),
+    )
+    def test_every_cursor_it_writes_restores(
+        self, window, slide_share, tolerance, stamps
+    ):
+        slide = max(1, int(window * slide_share))
+        w = Windower(window, slide, tolerance)
+        for i, ts in enumerate(stamps):
+            w.ingest(batch(record(key(i % 7), max(0, ts - 5), ts)))
+            Windower(window, slide, tolerance).restore(w.state())
+        w.flush()
+        Windower(window, slide, tolerance).restore(w.state())
+
 
 class TestTraceReplaySource:
     def test_conserves_counters_per_router(self, trace, source):
@@ -769,6 +800,35 @@ class TestCheckpointLoad:
                 pass
             except Exception as exc:
                 pytest.fail(f"mutation {i} ({mutation}) escaped: {exc!r}")
+
+    @pytest.mark.parametrize("cursor", ["far-behind", "past-max-ts"])
+    def test_restored_cursor_out_of_reach_raises_at_once(
+        self, source, trace, tmp_path, cursor
+    ):
+        """A cursor far behind ``max_ts`` would close windows one slide
+        at a time (millions of them for ``-10**12``); it fails at
+        restore instead, as does one past ``max_ts + slide_ms``."""
+        import time
+
+        ckpt = tmp_path / "stream.ckpt.json"
+
+        def pipeline():
+            return make_pipeline(
+                source, trace, checkpoint_path=ckpt, window_ms=300_000
+            )
+
+        pipeline().run(max_windows=2)
+        payload = json.loads(ckpt.read_text())
+        windower = payload["windower"]
+        windower["next_start"] = (
+            -10**12 if cursor == "far-behind"
+            else windower["max_ts"] + 300_000 + 1
+        )
+        ckpt.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        with pytest.raises(DataError, match="next_start"):
+            pipeline().run(max_windows=4)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("value", ["3", 1.5, True, -1])
     def test_posted_tiers_must_be_an_integer(self, source, trace, tmp_path, value):
