@@ -13,6 +13,7 @@ import time
 
 from repro.core.ced import CEDDemand
 from repro.core.cost import LinearDistanceCost
+from repro.obs import METRICS
 from repro.serve import QuoteEngine, SnapshotRegistry, generate_requests
 from repro.stream import StreamConfig, StreamingPipeline, TraceReplaySource
 from repro.synth.trace import generate_network_trace
@@ -61,10 +62,15 @@ def batching_payoff(n_requests=2000):
 def test_batched_quoting_beats_per_flow_loop(run_once, save_output):
     batch_s, loop_s = run_once(batching_payoff)
     speedup = loop_s / max(batch_s, 1e-9)
+    # The two wall-clock times go to the untracked metrics record; the
+    # tracked text reads the same on every run.
+    METRICS.observe("bench.serve_batching.batched", batch_s)
+    METRICS.observe("bench.serve_batching.per_flow_loop", loop_s)
     save_output(
         "serve_batching",
-        f"batched: {batch_s * 1000:.2f} ms, per-flow loop: "
-        f"{loop_s * 1000:.2f} ms ({speedup:.1f}x speedup)",
+        "batched engine vs per-flow loop on 2000 requests: the same unit "
+        "prices; the bar is a 10x speedup (times in "
+        "serve_batching.metrics.json)",
     )
     # The acceptance bar: vectorized batch quoting is at least an order
     # of magnitude faster than quoting the same requests one at a time.

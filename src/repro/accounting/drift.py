@@ -90,24 +90,22 @@ def replay_design_prices(
             "a tier design against them"
         )
     # Join by destination *label table*, not per flow: the design lookup
-    # runs once per distinct destination, then rates fan out to the flows
-    # with one code-array gather.
-    table = market.flows.dst_table
-    rate_by_code = np.full(len(table) + 1, float(market.blended_rate))
-    known = np.zeros(len(table) + 1, dtype=bool)
-    seen = set()
-    present = np.unique(codes)
-    for code in (int(c) for c in present if c >= 0):
-        dst = table[code]
-        tier = design.tier_of_destination.get(dst)
-        if tier is not None:
-            rate_by_code[code] = design.rates[tier]
-            known[code] = True
-            seen.add(dst)
-    # NO_LABEL (-1) indexes the trailing unknown slot.
-    prices = rate_by_code[codes]
-    unknown = int(np.count_nonzero(~known[codes]))
-    missing = len(set(design.tier_of_destination) - seen)
+    # runs once per distinct destination, then tiers and rates fan out to
+    # the flows with code-array gathers.  NO_LABEL (-1) indexes the
+    # trailing unknown slot.
+    tier_by_code = np.append(design.tiers_of(market.flows.dst_table), 0)
+    tiers = tier_by_code[codes]
+    levels, level_of_flow = np.unique(tiers, return_inverse=True)
+    blended = float(market.blended_rate)
+    level_rates = np.array(
+        [design.rates[t] if t else blended for t in levels.tolist()], dtype=float
+    )
+    prices = level_rates[level_of_flow]
+    unknown = int(np.count_nonzero(tiers == 0))
+    present = np.zeros(tier_by_code.size, dtype=bool)
+    present[codes] = True
+    seen = int(np.count_nonzero(present[:-1] & (tier_by_code[:-1] != 0)))
+    missing = len(design.tier_of_destination) - seen
     return prices, unknown, missing
 
 

@@ -17,7 +17,11 @@ collecting the same NetFlow.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+from collections.abc import Sequence
 from typing import Optional
+
+import numpy as np
 
 from repro.accounting.bgp import (
     RoutingTable,
@@ -26,6 +30,7 @@ from repro.accounting.bgp import (
 )
 from repro.accounting.flow_based import FlowBasedAccounting
 from repro.accounting.link_based import LinkBasedAccounting
+from repro.core.flow import NO_LABEL, encode_labels
 from repro.core.market import Market, TieredOutcome
 from repro.errors import AccountingError
 
@@ -91,32 +96,46 @@ class TierDesign:
         defines the 1-based tier ids.
         """
         if destinations is None:
-            if market.flows.dsts is None:
+            codes = market.flows.dst_codes
+            if codes is None:
                 raise AccountingError(
                     "market flows carry no destination addresses; pass "
                     "destinations= explicitly"
                 )
-            destinations = list(market.flows.dsts)
-        if len(destinations) != market.n_flows:
+            table = market.flows.dst_table
+        else:
+            if len(destinations) != market.n_flows:
+                raise AccountingError(
+                    f"got {len(destinations)} destinations for "
+                    f"{market.n_flows} flows"
+                )
+            codes, table = encode_labels(destinations, market.n_flows, "destinations")
+            if codes is None:  # no flow has a destination
+                codes = np.full(market.n_flows, NO_LABEL, dtype=np.int32)
+        members = [np.asarray(m, dtype=np.intp).reshape(-1) for m in bundles]
+        rates = {t: float(prices[m[0]]) for t, m in enumerate(members, start=1)}
+        flows = np.concatenate(members) if members else np.empty(0, np.intp)
+        tiers = np.repeat(np.arange(1, len(members) + 1), [m.size for m in members])
+        # Flows in bundle order; a destination's first flow sets its tier.
+        # NO_LABEL (-1) indexes the trailing slot.
+        dsts = codes[flows]
+        labels, first = np.unique(dsts, return_index=True)
+        first_tier = np.zeros(len(table) + 1, dtype=np.int64)
+        first_tier[labels] = tiers[first]
+        bad = np.flatnonzero((dsts < 0) | (tiers != first_tier[dsts]))
+        if bad.size:
+            at = int(bad[0])
+            if dsts[at] < 0:
+                raise AccountingError(f"flow {int(flows[at])} has no destination")
             raise AccountingError(
-                f"got {len(destinations)} destinations for "
-                f"{market.n_flows} flows"
+                f"destination {table[dsts[at]]} appears in tiers "
+                f"{int(first_tier[dsts[at]])} and {int(tiers[at])}; tiers "
+                "must partition destinations"
             )
-        rates = {}
-        tier_of_destination: dict = {}
-        for tier_index, members in enumerate(bundles, start=1):
-            rates[tier_index] = float(prices[members[0]])
-            for i in members:
-                dst = destinations[int(i)]
-                if dst is None:
-                    raise AccountingError(f"flow {int(i)} has no destination")
-                existing = tier_of_destination.get(dst)
-                if existing is not None and existing != tier_index:
-                    raise AccountingError(
-                        f"destination {dst} appears in tiers {existing} "
-                        f"and {tier_index}; tiers must partition destinations"
-                    )
-                tier_of_destination[dst] = tier_index
+        first.sort()
+        tier_of_destination = dict(
+            zip([table[c] for c in dsts[first].tolist()], tiers[first].tolist())
+        )
         return cls(
             provider_asn=provider_asn,
             rates=rates,
@@ -128,6 +147,14 @@ class TierDesign:
     @property
     def n_tiers(self) -> int:
         return len(self.rates)
+
+    def tiers_of(self, labels: Sequence) -> np.ndarray:
+        """One ``int64`` tier per label of a label table (0 where the
+        design has no tier for it): the destination join, one lookup
+        per distinct destination.  Gather it with a flow set's code
+        column to get per-flow tiers."""
+        tiers = map(self.tier_of_destination.get, labels, itertools.repeat(0))
+        return np.fromiter(tiers, np.int64, len(labels))
 
     def tier_for(self, destination: str) -> int:
         try:

@@ -143,13 +143,11 @@ class Hybrid(Mechanism):
         overflow destinations the posted book has never seen — clears
         on fresh cost-ordered lots at this window's prices.
         """
-        dsts = market.flows.dsts
-        if dsts is None or posted_tiers <= 0:
+        codes = market.flows.dst_codes
+        if codes is None or posted_tiers <= 0:
             return self.design_on(market, provider_asn=provider_asn)
-        tier_of = prior_design.tier_of_destination
-        held = np.asarray(
-            [tier_of.get(dst, 0) for dst in dsts], dtype=np.int64
-        )
+        # NO_LABEL (-1) indexes the trailing untiered slot.
+        held = np.append(prior_design.tiers_of(market.flows.dst_table), 0)[codes]
         held[held > posted_tiers] = 0  # prior spot lots do not pin prices
 
         posted_bundles = []

@@ -61,34 +61,36 @@ def aggregate_to_flowset(
         )
 
     # Flow keys exist only for the kept distinct keys: the distance and
-    # region callbacks take them.  Endpoint labels are interned on the
-    # way, so the result assembles straight into code columns.
+    # region callbacks take them.  The endpoint code columns come from
+    # the address columns, and their label tables from the keys.
+    kept_keys = keys.take(kept)
+    flow_keys = kept_keys.flow_keys()
     distances = []
     regions = []
-    src_codes = []
-    dst_codes = []
-    src_index: "dict[str, int]" = {}
-    dst_index: "dict[str, int]" = {}
-    for key in keys.take(kept).flow_keys():
+    for key in flow_keys:
         distances.append(float(distance_fn(key)))
-        regions.append(region_fn(key) if region_fn is not None else None)
-        src_codes.append(_intern(key.src_addr, src_index))
-        dst_codes.append(_intern(key.dst_addr, dst_index))
-    n = len(kept)
+        if region_fn is not None:
+            regions.append(region_fn(key))
+    src_codes, src_rows = _first_appearance_codes(kept_keys.src)
+    dst_codes, dst_rows = _first_appearance_codes(kept_keys.dst)
     return FlowSet.from_columns(
         mbps[kept],
         np.asarray(distances, dtype=float),
-        region_codes=encode_regions(regions, n),
-        src_codes=np.asarray(src_codes, dtype=np.int32),
-        src_table=tuple(src_index),
-        dst_codes=np.asarray(dst_codes, dtype=np.int32),
-        dst_table=tuple(dst_index),
+        region_codes=(
+            encode_regions(regions, len(kept)) if region_fn is not None else None
+        ),
+        src_codes=src_codes,
+        src_table=tuple([flow_keys[i].src_addr for i in src_rows]),
+        dst_codes=dst_codes,
+        dst_table=tuple([flow_keys[i].dst_addr for i in dst_rows]),
     )
 
 
-def _intern(label: str, index: "dict[str, int]") -> int:
-    code = index.get(label)
-    if code is None:
-        code = len(index)
-        index[label] = code
-    return code
+def _first_appearance_codes(values: np.ndarray) -> "tuple[np.ndarray, list[int]]":
+    """``int32`` codes of a column's distinct values, numbered in order
+    of first appearance, and the row where each code first appears."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    code = np.empty(order.size, np.int32)
+    code[order] = np.arange(order.size, dtype=np.int32)
+    return code[inverse], first[order].tolist()

@@ -103,9 +103,11 @@ class NetFlowRecord:
         return self.estimated_octets * 8.0 / (window_ms / 1000.0) / 1e6
 
 
+#: Decimal text of each octet value.
+_OCTET_TEXT = tuple(str(i) for i in range(256))
 #: Rank of each octet's decimal string among all 256 of them: packing
 #: four ranks orders addresses the way their dotted strings sort.
-_OCTET_RANK = np.argsort(np.argsort([str(i) for i in range(256)])).astype(np.uint32)
+_OCTET_RANK = np.argsort(np.argsort(_OCTET_TEXT)).astype(np.uint32)
 
 
 def dotted(value: int) -> str:
@@ -131,9 +133,16 @@ def address_value(text: str) -> int:
 
 def _dotted_column(values: np.ndarray) -> "list[str]":
     """Dotted strings of an address column, formatting each distinct
-    address once."""
+    address once from the octet text table."""
     distinct, inverse = np.unique(values, return_inverse=True)
-    text = [dotted(v) for v in distinct.tolist()]
+    t = _OCTET_TEXT
+    octets = zip(
+        (distinct >> 24).tolist(),
+        ((distinct >> 16) & 255).tolist(),
+        ((distinct >> 8) & 255).tolist(),
+        (distinct & 255).tolist(),
+    )
+    text = [f"{t[a]}.{t[b]}.{t[c]}.{t[d]}" for a, b, c, d in octets]
     return [text[i] for i in inverse.tolist()]
 
 
@@ -323,17 +332,30 @@ class RecordBatch:
     # ------------------------------------------------------------------
 
     def flow_keys(self) -> "list[FlowKey]":
-        """One :class:`FlowKey` per row."""
-        return [
-            FlowKey(src, dst, sport, dport, proto)
-            for src, dst, sport, dport, proto in zip(
-                _dotted_column(self.src),
-                _dotted_column(self.dst),
-                self.src_port.tolist(),
-                self.dst_port.tolist(),
-                self.protocol.tolist(),
-            )
-        ]
+        """One :class:`FlowKey` per row.
+
+        The keys skip :class:`FlowKey`'s range checks, which the
+        ``uint16`` port and ``uint8`` protocol columns already hold;
+        they are equal to, hash, print and pickle as checked keys.
+        """
+        new = object.__new__
+        keys = []
+        for src, dst, sport, dport, proto in zip(
+            _dotted_column(self.src),
+            _dotted_column(self.dst),
+            self.src_port.tolist(),
+            self.dst_port.tolist(),
+            self.protocol.tolist(),
+        ):
+            key = new(FlowKey)
+            fields = key.__dict__
+            fields["src_addr"] = src
+            fields["dst_addr"] = dst
+            fields["src_port"] = sport
+            fields["dst_port"] = dport
+            fields["protocol"] = proto
+            keys.append(key)
+        return keys
 
     def to_records(self) -> "list[NetFlowRecord]":
         """One :class:`NetFlowRecord` per row, in row order."""

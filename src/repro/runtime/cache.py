@@ -37,6 +37,19 @@ from repro.config import RuntimeConfig
 from repro.obs import METRICS
 
 
+class Canonical:
+    """A payload part :func:`config_hash` may hash without walking it.
+
+    Wrap only data the walk would leave as it is: ``str``, ``int`` and
+    ``None`` leaves in lists or tuples, with no floats and no dicts.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any) -> None:
+        self.value = value
+
+
 def _canonical(payload: Any) -> Any:
     """Recursively normalize a payload for hashing.
 
@@ -49,6 +62,8 @@ def _canonical(payload: Any) -> Any:
         return [_canonical(v) for v in payload]
     if isinstance(payload, float):
         return repr(payload)
+    if isinstance(payload, Canonical):
+        return payload.value
     return payload
 
 

@@ -79,7 +79,9 @@ REQUEST_DEFAULTS = {f.name: f.default for f in dataclasses.fields(QuoteRequest)}
 def check_request(dst, volume_mbps, distance_miles, region, regime) -> None:
     """The one set of request checks, run by :class:`QuoteRequest` and by
     the front door's column parse: a ``DataError`` for a field out of its
-    domain, a ``TypeError`` for a volume or distance that is no number.
+    domain (a ``dst`` or ``regime`` UTF-8 cannot encode, a number too
+    large for a float), a ``TypeError`` for a volume or distance that is
+    no number.
     """
     # Straight-line checks: this runs once per quote served.
     if not (isinstance(dst, str) or dst is None):
@@ -91,9 +93,18 @@ def check_request(dst, volume_mbps, distance_miles, region, regime) -> None:
             f"quote regime must be a string or null, got "
             f"{type(regime).__name__}"
         )
-    if not math.isfinite(volume_mbps) or volume_mbps <= 0:
+    if dst is not None and not dst.isascii():
+        _check_utf8("dst", dst)
+    if regime is not None and not regime.isascii():
+        _check_utf8("regime", regime)
+    try:
+        volume_ok = math.isfinite(volume_mbps)
+        distance_ok = math.isfinite(distance_miles)
+    except OverflowError:
+        raise DataError("quote volume and distance must fit a float") from None
+    if not volume_ok or volume_mbps <= 0:
         raise DataError(f"quote volume must be positive, got {volume_mbps!r}")
-    if not math.isfinite(distance_miles) or distance_miles < 0:
+    if not distance_ok or distance_miles < 0:
         raise DataError(
             f"quote distance must be non-negative, got {distance_miles!r}"
         )
@@ -101,6 +112,17 @@ def check_request(dst, volume_mbps, distance_miles, region, regime) -> None:
         raise DataError(
             f"unknown region {region!r}; expected one of {VALID_REGIONS}"
         )
+
+
+def _check_utf8(field: str, text: str) -> None:
+    """Reject text UTF-8 cannot encode (a lone surrogate): routing and
+    the shared-memory lookup encode every destination."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DataError(
+            f"quote {field} is not valid Unicode text: {text!r} ({exc.reason})"
+        ) from None
 
 
 @dataclasses.dataclass(frozen=True)

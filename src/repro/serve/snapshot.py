@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.accounting.tier_designer import TierDesign
 from repro.errors import DataError
-from repro.runtime.cache import config_hash
+from repro.runtime.cache import Canonical, config_hash
 from repro.stream.repricer import DesignPublication
 
 #: Sentinel tier id for destinations the design has no tier for.
@@ -91,9 +91,10 @@ class PricingSnapshot:
             )
         # Sorted destination column + aligned tier column: batch lookups
         # are one searchsorted, not a Python loop over dict gets.
-        items = sorted(design.tier_of_destination.items())
-        dsts = np.array([dst for dst, _ in items], dtype=object)
-        tiers = np.array([tier for _, tier in items], dtype=np.int64)
+        tier_of = design.tier_of_destination
+        dst_list = sorted(tier_of)
+        dsts = np.array(dst_list, dtype=object)
+        tiers = np.array([tier_of[dst] for dst in dst_list], dtype=np.int64)
         # Index 0 is the unknown-destination fallback: the blended rate,
         # matching replay_design_prices' safe default.
         rate_by_tier = np.array(
@@ -107,6 +108,11 @@ class PricingSnapshot:
             if reference_distance_miles is None
             else float(reference_distance_miles)
         )
+        # ``[dst, tier]`` pairs; ``str`` labels and ``int`` tiers are
+        # already canonical, so the hash skips walking them.
+        pairs = list(zip(dst_list, tiers.tolist()))
+        if set(map(type, dst_list)) == {str}:
+            pairs = Canonical(pairs)
         digest = config_hash(
             {
                 "config_digest": config_digest,
@@ -115,9 +121,7 @@ class PricingSnapshot:
                 "reference_distance_miles": reference,
                 "provider_asn": int(design.provider_asn),
                 "rates": {str(t): float(design.rates[t]) for t in tier_ids},
-                "destinations": [
-                    [dst, int(tier)] for dst, tier in items
-                ],
+                "destinations": pairs,
             }
         )
         return cls(

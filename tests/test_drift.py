@@ -1,16 +1,21 @@
 """Tests for tier-design drift evaluation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.accounting.drift import evaluate_drift
+from repro.accounting.drift import evaluate_drift, replay_design_prices
 from repro.accounting.tier_designer import TierDesign
 from repro.core.bundling import ProfitWeightedBundling
 from repro.core.ced import CEDDemand
 from repro.core.cost import DestinationTypeCost, LinearDistanceCost
-from repro.core.flow import FlowSet
+from repro.core.flow import NO_LABEL, FlowSet
 from repro.core.market import Market
 from repro.errors import AccountingError
+from tests import window_reference as ref
 
 P0 = 20.0
 
@@ -125,3 +130,61 @@ class TestValidation:
                 DestinationTypeCost(0.2),
                 P0,
             )
+
+
+@st.composite
+def joins(draw):
+    """A design and a flow set's destination codes over a label table:
+    labels the design tiers, labels it does not, designed labels absent
+    from the table, and ``NO_LABEL`` rows."""
+    table = draw(st.lists(st.text(max_size=6), min_size=1, max_size=25, unique=True))
+    absent = draw(st.lists(st.text(min_size=7, max_size=9), max_size=5, unique=True))
+    n_tiers = draw(st.integers(1, 6))
+    designed = draw(st.lists(st.booleans(), min_size=len(table), max_size=len(table)))
+    labels = [dst for dst, d in zip(table, designed) if d] + absent
+    tiers = draw(st.lists(st.integers(1, n_tiers), min_size=len(labels), max_size=len(labels)))
+    rates = draw(st.lists(st.floats(0.5, 500.0), min_size=n_tiers, max_size=n_tiers))
+    design = TierDesign(
+        provider_asn=64500,
+        rates=dict(enumerate(rates, start=1)),
+        tier_of_destination=dict(zip(labels, tiers)),
+    )
+    codes = draw(
+        st.lists(st.integers(NO_LABEL, len(table) - 1), min_size=1, max_size=60).filter(
+            lambda c: max(c) >= 0
+        )
+    )
+    return design, table, np.array(codes, dtype=np.int32)
+
+
+def join_market(table, codes, blended_rate=P0):
+    """The fields of a market the replay reads: its flows and ``P0``."""
+    flows = FlowSet.from_columns(
+        np.ones(codes.size), np.ones(codes.size), dst_codes=codes, dst_table=table
+    )
+    return SimpleNamespace(flows=flows, blended_rate=blended_rate)
+
+
+class TestDestinationJoin:
+    @settings(max_examples=80, deadline=None)
+    @given(case=joins())
+    def test_tiers_of_is_the_per_label_lookup(self, case):
+        design, table, codes = case
+        tiers = design.tiers_of(table)
+        assert tiers.dtype == np.int64
+        assert tiers.tolist() == [design.tier_of_destination.get(d, 0) for d in table]
+        # Gathered by codes, NO_LABEL rows have no tier: hybrid's held join.
+        dsts = [table[c] if c >= 0 else None for c in codes.tolist()]
+        held = np.append(tiers, 0)[codes]
+        assert held.tolist() == ref.held_tiers(design, dsts).tolist()
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=joins(), blended=st.floats(0.5, 500.0))
+    def test_replay_equals_the_per_code_loop(self, case, blended):
+        design, table, codes = case
+        market = join_market(table, codes, blended)
+        prices, unknown, missing = replay_design_prices(design, market)
+        want_prices, want_unknown, want_missing = ref.replay_design_prices(design, market)
+        assert prices.dtype == want_prices.dtype
+        assert prices.tobytes() == want_prices.tobytes()
+        assert (unknown, missing) == (want_unknown, want_missing)

@@ -665,6 +665,54 @@ class TestFrontDoor:
         assert (fleet.respawns, fleet.shard_failures) == (respawns, failures)
 
     @pytest.mark.parametrize(
+        "shards, bad",
+        [
+            pytest.param(1, b'{"dst": "\\ud800"}', id="surrogate-dst-1-shard"),
+            pytest.param(2, b'{"dst": "\\ud800"}', id="surrogate-dst-2-shards"),
+            pytest.param(
+                1,
+                b'{"dst": "10.0.1.1", "volume_mbps": 1' + b"0" * 400 + b"}",
+                id="volume-past-a-float",
+            ),
+        ],
+    )
+    def test_row_no_shard_can_take_gets_its_own_error(self, snapshot, shards, bad):
+        """A ``dst`` UTF-8 cannot encode, or a volume no float holds, is a
+        bad request answered in line, sent as raw bytes: the frame is
+        answered, its other rows are priced, and no shard dies."""
+        config = FleetConfig(shards=shards, heartbeat_ms=25.0, timeout_ms=5000.0)
+        body = b'{"id": 1, "quotes": [{"dst": "10.0.0.1"}, %s, {"dst": "10.0.2.1"}]}'
+
+        async def scenario(door):
+            reader, writer = await asyncio.open_connection(door.host, door.port)
+            try:
+                writer.write(raw_frame(body % bad))
+                return await asyncio.wait_for(read_frame(reader), 3.0)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        async def serve(fleet):
+            async with FrontDoor(fleet) as door:
+                return await scenario(door)
+
+        names = ("fleet.bad_requests", "fleet.shard_failures")
+        with ShardFleet(COST_MODEL, config, fallback_blended_rate=P0) as fleet:
+            fleet.publish(snapshot)
+            pids = fleet.pids()
+            before = {name: METRICS.counter(name) for name in names}
+            reply = asyncio.run(serve(fleet))
+            delta = {name: METRICS.counter(name) - before[name] for name in names}
+            assert fleet.pids() == pids
+            assert fleet.shard_failures == 0
+        good, error, other = reply["quotes"]
+        assert error["error"].startswith("DataError: quote ")
+        for quote in (good, other):
+            assert not quote["degraded"] and quote["known"]
+        assert delta == {"fleet.bad_requests": 1, "fleet.shard_failures": 0}
+        assert shm_segments() == []
+
+    @pytest.mark.parametrize(
         "body",
         [
             pytest.param(b"\xff\xfe{}", id="invalid-utf8"),

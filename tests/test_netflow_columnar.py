@@ -6,6 +6,7 @@ bit for bit, and the v5 stream path must build no record objects.
 """
 
 import ipaddress
+import pickle
 
 import numpy as np
 import pytest
@@ -126,6 +127,34 @@ class TestRecordBatch:
         got = RecordBatch.from_records(records).sorted().to_records()
         assert got == sorted(records, key=ref.record_sort)
         assert [r.key.src_addr for r in got] == sorted(dotted(v) for v in values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 2**32 - 1),
+                st.integers(0, 2**32 - 1),
+                st.integers(0, 65535),
+                st.integers(0, 65535),
+                st.integers(0, 255),
+            ),
+            max_size=40,
+        )
+    )
+    def test_flow_keys_are_checked_keys(self, rows):
+        """Keys built from the columns equal, hash, print and pickle as
+        keys built through ``FlowKey``'s checks from dotted strings."""
+        want = [FlowKey(dotted(s), dotted(d), sp, dp, pr) for s, d, sp, dp, pr in rows]
+        records = [
+            NetFlowRecord(key=k, octets=1, packets=1, first_ms=0, last_ms=0, router="R1")
+            for k in want
+        ]
+        got = RecordBatch.from_records(records).flow_keys()
+        assert got == want
+        assert [hash(k) for k in got] == [hash(k) for k in want]
+        assert [repr(k) for k in got] == [repr(k) for k in want]
+        assert [pickle.dumps(k) for k in got] == [pickle.dumps(k) for k in want]
+        assert pickle.loads(pickle.dumps(got)) == want
 
     def test_huge_counters_sum_exactly(self):
         # Near 2**62 each: an int64 sum would wrap; dedup stays exact.

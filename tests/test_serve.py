@@ -35,7 +35,9 @@ from repro.stream import (
     StreamingPipeline,
     TraceReplaySource,
 )
+from repro.runtime.cache import config_hash
 from repro.synth.trace import generate_network_trace
+from tests import window_reference as ref
 
 P0 = 20.0
 COST_MODEL = LinearDistanceCost(theta=0.2)
@@ -82,6 +84,36 @@ def engine(registry):
 # ----------------------------------------------------------------------
 
 
+@st.composite
+def snapshot_designs(draw):
+    """A design of 1-30 tiers over ASCII, non-ASCII, integer or float
+    labels, and the other fields a snapshot digest hashes."""
+    n_tiers = draw(st.integers(1, 30))
+    size = dict(min_size=1, max_size=40, unique=True)
+    labels = draw(
+        st.one_of(
+            st.lists(st.text(st.characters(max_codepoint=127), max_size=15), **size),
+            st.lists(st.text(max_size=12), **size),
+            st.lists(st.integers(-(2**40), 2**40), **size),
+            st.lists(st.floats(allow_nan=False), **size),
+        )
+    )
+    tiers = draw(st.lists(st.integers(1, n_tiers), min_size=len(labels), max_size=len(labels)))
+    rates = draw(st.lists(st.floats(0.01, 1e4), min_size=n_tiers, max_size=n_tiers))
+    design = TierDesign(
+        provider_asn=draw(st.integers(1, 2**32 - 1)),
+        rates=dict(enumerate(rates, start=1)),
+        tier_of_destination=dict(zip(labels, tiers)),
+    )
+    kwargs = dict(
+        config_digest=draw(st.text(max_size=16)),
+        blended_rate=draw(st.floats(0.01, 1e4)),
+        gamma=draw(st.floats(1e-6, 1e3)),
+        reference_distance_miles=draw(st.none() | st.floats(0.0, 1e5)),
+    )
+    return design, kwargs
+
+
 class TestPricingSnapshot:
     def test_lookup_matches_design(self, registry):
         market, design = make_design()
@@ -112,6 +144,42 @@ class TestPricingSnapshot:
             design, version=1, config_digest="r", blended_rate=P0, gamma=0.5
         )
         assert c.digest != a.digest
+
+    def test_digest_is_pinned(self):
+        """A fixed design's digest, non-ASCII labels included: a byte of
+        the hashed text changing fails here."""
+        design = TierDesign(
+            provider_asn=64500,
+            rates={1: 31.5, 2: 22.25, 3: 14.0},
+            tier_of_destination={
+                "10.0.0.1": 1,
+                "10.0.1.1": 1,
+                "10.0.2.1": 2,
+                "192.0.2.7": 3,
+                "caf\u00e9.example": 3,
+                "\u4f8b\u3048.jp": 2,
+            },
+        )
+        snapshot = PricingSnapshot.build(
+            design,
+            version=7,
+            config_digest="regime-a",
+            blended_rate=20.0,
+            gamma=0.75,
+            reference_distance_miles=4000.0,
+            published_at_ms=60_000,
+        )
+        assert snapshot.digest == (
+            "0e558ea584bf411c61e283cb2e6555728703bc271bbb77fa7a259a737ae4a945"
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=snapshot_designs())
+    def test_digest_hashes_the_pair_by_pair_payload(self, case):
+        design, kwargs = case
+        snapshot = PricingSnapshot.build(design, version=1, **kwargs)
+        assert snapshot.digest == config_hash(ref.snapshot_payload(design, **kwargs))
+        assert list(snapshot.destinations) == sorted(design.tier_of_destination)
 
     def test_lookup_arrays_are_immutable(self, registry):
         snapshot = publish(registry)
@@ -268,6 +336,19 @@ class TestQuoteEngine:
             QuoteRequest(dst=123)
         with pytest.raises(DataError, match="regime"):
             QuoteRequest(dst="10.0.0.1", regime=5)
+        # Text UTF-8 cannot encode, numbers no float holds.
+        with pytest.raises(DataError, match="dst"):
+            QuoteRequest(dst="\ud800")
+        with pytest.raises(DataError, match="regime"):
+            QuoteRequest(dst="10.0.0.1", regime="regime-\udfff")
+        with pytest.raises(DataError, match="volume"):
+            QuoteRequest(volume_mbps=10**400)
+        with pytest.raises(DataError, match="distance"):
+            QuoteRequest(distance_miles=10**400)
+
+    def test_non_ascii_text_that_utf8_encodes_is_a_request(self):
+        request = QuoteRequest(dst="caf\u00e9", regime="r\u00e9gime")
+        assert request.dst == "caf\u00e9" and request.regime == "r\u00e9gime"
 
     def test_splitting_cost_model_rejected(self, registry):
         from repro.core.cost import DestinationTypeCost

@@ -16,7 +16,9 @@ from repro.core.cost import LinearDistanceCost
 from repro.core.flow import FlowSet
 from repro.core.market import Market
 from repro.errors import ConfigurationError, DataError
+from repro.mechanisms import mechanism_by_name
 from repro.netflow.records import FlowKey, NetFlowRecord, PROTO_TCP, RecordBatch
+from repro.serve import PricingSnapshot
 from repro.stream import (
     DemandShift,
     DesignPublication,
@@ -585,6 +587,46 @@ class TestPipelineEndToEnd:
             resumed.design.tier_of_destination
             == baseline.design.tier_of_destination
         )
+
+    @settings(max_examples=12, deadline=None)
+    @given(kill=st.integers(1, 5), mechanism=st.sampled_from(["posted-tiers", "hybrid"]))
+    def test_restoring_a_checkpoint_gives_an_equal_state(
+        self, source, trace, tmp_path_factory, kill, mechanism
+    ):
+        """Stopped after ``kill`` windows and restored, a run ends with the
+        uninterrupted run's results, adopted design and final snapshot."""
+
+        def run(checkpoint_path=None, max_windows=None):
+            pipeline = StreamingPipeline(
+                source,
+                distance_fn=trace.distance_for,
+                demand_model=CEDDemand(alpha=1.1),
+                cost_model=LinearDistanceCost(theta=0.2),
+                config=StreamConfig(window_ms=300_000, drift_threshold=0.1),
+                checkpoint_path=checkpoint_path,
+                mechanism=mechanism_by_name(mechanism),
+            )
+            published = []
+            pipeline.repricer.subscribe(published.append)
+            report = pipeline.run(max_windows=max_windows)
+            return report, published, pipeline.config_digest
+
+        def final_digest(published, config_digest):
+            snapshot = PricingSnapshot.from_publication(
+                published[-1], version=1, config_digest=config_digest
+            )
+            return snapshot.digest
+
+        baseline, published, digest = run()
+        assert len(baseline.results) > kill
+        ckpt = tmp_path_factory.mktemp("restore") / "stream.ckpt.json"
+        partial, before, _ = run(ckpt, max_windows=kill)
+        assert len(partial.results) == kill
+        resumed, after, _ = run(ckpt)
+        assert resumed.results == baseline.results
+        assert resumed.design.rates == baseline.design.rates
+        assert resumed.design.tier_of_destination == baseline.design.tier_of_destination
+        assert final_digest(before + after, digest) == final_digest(published, digest)
 
     def test_checkpoint_config_mismatch_refused(self, source, trace, tmp_path):
         ckpt = tmp_path / "stream.ckpt.json"

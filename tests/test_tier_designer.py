@@ -1,7 +1,11 @@
 """Tests for TierDesign: economics -> operable configuration (§5)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.accounting.tier_designer import TierDesign
 from repro.core.bundling import ProfitWeightedBundling
@@ -11,6 +15,7 @@ from repro.core.flow import FlowSet
 from repro.core.market import Market
 from repro.errors import AccountingError
 from repro.netflow.records import FlowKey, NetFlowRecord, PROTO_TCP
+from tests import window_reference as ref
 
 
 @pytest.fixture
@@ -127,3 +132,61 @@ class TestOperationalArtifacts:
         # Revenue at the counterfactual prices and *observed* demand:
         direct = float(np.sum(market.flows.demands * outcome.prices))
         assert revenue_from_design == pytest.approx(direct)
+
+
+@st.composite
+def partitions(draw):
+    """Bundles over ``n`` flows, prices, and per-flow destinations.
+
+    Half the cases are valid: the bundles cut a shuffled flow order and
+    each bundle's flows share destinations from its own pool, so a
+    destination's first flow in bundle order differs from its first flow
+    in flow order.  The other half draw members and destinations freely
+    (a flow in two bundles, ``None``), so collisions and missing
+    destinations occur.
+    """
+    n = draw(st.integers(1, 30))
+    prices = np.array(draw(st.lists(st.floats(0.5, 500.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=5)) if n > 1 else [])
+        bundles = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        destinations = [None] * n
+        for j, members in enumerate(bundles):
+            for i in members:
+                destinations[i] = f"{j}.{draw(st.integers(0, 3))}"
+        return bundles, prices, destinations
+    pool = draw(st.lists(st.text(max_size=4), min_size=1, max_size=12, unique=True))
+    destinations = draw(
+        st.lists(st.none() | st.sampled_from(pool), min_size=n, max_size=n)
+    )
+    bundles = draw(
+        st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=n), min_size=1, max_size=6)
+    )
+    return bundles, prices, destinations
+
+
+class TestFromBundlesMatchesTheLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(case=partitions(), explicit=st.booleans())
+    def test_same_design_or_same_error(self, case, explicit):
+        bundles, prices, destinations = case
+        n = len(destinations)
+        flows = FlowSet(demands_mbps=np.ones(n), distances_miles=np.ones(n), dsts=destinations)
+        market = SimpleNamespace(n_flows=n, flows=flows)
+        assume(explicit or flows.dsts is not None)
+        try:
+            want = ref.design_map(bundles, prices, destinations)
+        except AccountingError as exc:
+            want = str(exc)
+        bundles = bundles if explicit else [np.array(m) for m in bundles]
+        try:
+            design = TierDesign.from_bundles(
+                market, bundles, prices, destinations=destinations if explicit else None
+            )
+        except AccountingError as exc:
+            got = str(exc)
+        else:
+            got = (design.rates, design.tier_of_destination)
+            assert list(got[1].items()) == list(want[1].items())
+        assert got == want
