@@ -75,9 +75,9 @@ def replay_design_prices(
 
     Returns ``(prices, unknown, missing)``: per-flow prices where designed
     destinations keep their tier's rate and unknown destinations fall back
-    to the market's blended rate; the count of destinations the design has
-    no tier for; and the count of designed destinations absent from the
-    market's traffic.
+    to the market's blended rate; the count of distinct labelled
+    destinations in the market's traffic the design has no tier for; and
+    the count of designed destinations absent from the market's traffic.
 
     Raises:
         AccountingError: If the market's flows carry no destination
@@ -101,11 +101,13 @@ def replay_design_prices(
         [design.rates[t] if t else blended for t in levels.tolist()], dtype=float
     )
     prices = level_rates[level_of_flow]
-    unknown = int(np.count_nonzero(tiers == 0))
     present = np.zeros(tier_by_code.size, dtype=bool)
     present[codes] = True
-    seen = int(np.count_nonzero(present[:-1] & (tier_by_code[:-1] != 0)))
-    missing = len(design.tier_of_destination) - seen
+    tiered = tier_by_code[:-1] != 0
+    unknown = int(np.count_nonzero(present[:-1] & ~tiered))
+    missing = len(design.tier_of_destination) - int(
+        np.count_nonzero(present[:-1] & tiered)
+    )
     return prices, unknown, missing
 
 

@@ -44,7 +44,6 @@ from repro.fleet.frontdoor import (
 from repro.fleet.shard import ShardFleet, shard_of
 from repro.fleet.shm import (
     AttachedSnapshot,
-    SharedPricingSnapshot,
     SharedSnapshot,
     segment_name,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "FleetConfig",
     "FleetLoadReport",
     "FrontDoor",
-    "SharedPricingSnapshot",
     "SharedSnapshot",
     "ShardFleet",
     "run_socket_load",

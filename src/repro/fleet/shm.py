@@ -2,32 +2,36 @@
 
 A :class:`~repro.serve.snapshot.PricingSnapshot` is already the right
 shape for cross-process sharing: its lookup state is three flat arrays
-(sorted destinations, aligned tier ids, the tier rate card) plus a
-handful of scalars.  :class:`SharedSnapshot` freezes one snapshot into a
-named ``multiprocessing.shared_memory`` segment that any process on the
-machine can attach **lock-free** and reconstruct **zero-copy**: the
-attached arrays are read-only numpy views straight into the mapped
-buffer, the same ``from_columns(validate=False)`` adoption discipline
-the columnar core uses for pre-validated data.
+(the sorted fixed-width destination column, aligned tier ids, the tier
+rate card) plus a handful of scalars.  :class:`SharedSnapshot` copies
+one snapshot's arrays as they are into a named
+``multiprocessing.shared_memory`` segment that any process on the
+machine can attach **lock-free** and reconstruct **zero-copy**:
+:class:`AttachedSnapshot` builds a plain ``PricingSnapshot`` whose
+arrays are read-only numpy views straight into the mapped buffer, the
+same ``from_columns(validate=False)`` adoption discipline the columnar
+core uses for pre-validated data.
 
 Segment layout (versioned by name, immutable once published)::
 
     repro-snap-<digest[:12]>-v<version>
     +--------------------------------------------------------------+
     | u64 LE header length H                                       |
-    | H bytes of JSON: scalars (version, digest, gamma, ...) plus  |
-    |   per-array {dtype, offset, count} descriptors               |
+    | H bytes of JSON: the snapshot's scalar fields (version,      |
+    |   digest, gamma, ...) plus per-array {dtype, offset, count}  |
+    |   descriptors                                                |
     | ... padding to a 64-byte boundary ...                        |
     | dsts:         S<w> fixed-width UTF-8 bytes, sorted           |
     | tiers:        int64, aligned to dsts                         |
     | rate_by_tier: float64, index 0 = blended fallback            |
     +--------------------------------------------------------------+
 
-Destinations are stored as fixed-width bytes rather than object strings
-(object arrays cannot cross a process boundary without pickling).  UTF-8
-byte order equals code-point order, so ``searchsorted`` against the
-bytes column gives the same answers as against the original strings —
-:class:`SharedPricingSnapshot` just encodes its queries first.
+The header's scalar fields and the three arrays are read off
+``PricingSnapshot``'s own dataclass fields (the arrays are its
+``_``-prefixed ones), so a field added there travels without a second
+list here.  The destination column is already bytes, because object
+strings cannot cross a process boundary without pickling;
+``PricingSnapshot.tiers_for`` is the one lookup on both sides.
 
 Lifecycle discipline (the part that keeps ``-W error::ResourceWarning``
 clean): exactly one process — the publisher — owns each segment and is
@@ -43,6 +47,7 @@ the registry cannot vandalize live ones.
 from __future__ import annotations
 
 import atexit
+import dataclasses
 import gc
 import json
 import os
@@ -54,13 +59,17 @@ import numpy as np
 
 from repro.errors import DataError
 from repro.obs import METRICS
-from repro.serve.snapshot import PricingSnapshot, UNKNOWN_TIER
+from repro.serve.snapshot import PricingSnapshot
 
 #: Data block alignment (covers every numpy dtype's requirement).
 _ALIGN = 64
 #: Per-array alignment inside the data block.
 _ARRAY_ALIGN = 16
 _HEADER_LEN = struct.Struct("<Q")
+#: ``PricingSnapshot`` fields: the header's scalars, and the arrays
+#: (``_``-prefixed; a segment labels each without its underscore).
+_SCALARS = [f.name for f in dataclasses.fields(PricingSnapshot) if f.name[0] != "_"]
+_ARRAYS = [f.name for f in dataclasses.fields(PricingSnapshot) if f.name[0] == "_"]
 
 #: Segments created by this process, by name — the atexit safety net.
 _OWNED: "dict[str, SharedSnapshot]" = {}
@@ -112,54 +121,6 @@ def _close_segment(shm: shared_memory.SharedMemory) -> None:
             _ZOMBIES.append(shm)
 
 
-def _encode_destinations(dsts: np.ndarray) -> np.ndarray:
-    """Object/str destination column → fixed-width sorted bytes column."""
-    encoded = [
-        d if isinstance(d, bytes) else str(d).encode("utf-8")
-        for d in dsts
-    ]
-    width = max((len(raw) for raw in encoded), default=1) or 1
-    return np.array(encoded, dtype=f"S{width}")
-
-
-class SharedPricingSnapshot(PricingSnapshot):
-    """A snapshot whose lookup arrays view a shared-memory segment.
-
-    Identical to :class:`~repro.serve.snapshot.PricingSnapshot` except
-    the destination column holds fixed-width bytes, so queries are
-    encoded before the ``searchsorted`` (and queries wider than the
-    column can never match — they are unknown by construction, not
-    silently truncated).
-    """
-
-    def tiers_for(self, destinations) -> np.ndarray:
-        queries = list(destinations)
-        if not queries:
-            return np.zeros(0, dtype=np.int64)
-        width = self._dsts.dtype.itemsize
-        encoded = np.zeros(len(queries), dtype=self._dsts.dtype)
-        too_wide = np.zeros(len(queries), dtype=bool)
-        for i, dst in enumerate(queries):
-            raw = (
-                dst
-                if isinstance(dst, bytes)
-                else str(dst).encode("utf-8")
-            )
-            if len(raw) > width:
-                too_wide[i] = True
-            else:
-                encoded[i] = raw
-        positions = np.searchsorted(self._dsts, encoded)
-        positions = np.minimum(positions, self._dsts.size - 1)
-        hits = (self._dsts[positions] == encoded) & ~too_wide
-        tiers = np.where(hits, self._tiers[positions], UNKNOWN_TIER)
-        return tiers.astype(np.int64)
-
-    @property
-    def destinations(self) -> tuple:
-        return tuple(d.decode("utf-8") for d in self._dsts)
-
-
 class SharedSnapshot:
     """One published segment, owned by the publishing process.
 
@@ -190,48 +151,20 @@ class SharedSnapshot:
         """Freeze a snapshot's arrays into a fresh named segment."""
         if snapshot.n_destinations == 0:
             raise DataError("cannot share a snapshot with no destinations")
-        dsts = _encode_destinations(snapshot._dsts)
-        tiers = np.ascontiguousarray(snapshot._tiers, dtype=np.int64)
-        rate_by_tier = np.ascontiguousarray(
-            snapshot._rate_by_tier, dtype=np.float64
-        )
-
-        arrays = {}
+        arrays = {name[1:]: getattr(snapshot, name) for name in _ARRAYS}
+        layout = {}
         offset = 0
-        for label, array in (
-            ("dsts", dsts),
-            ("tiers", tiers),
-            ("rate_by_tier", rate_by_tier),
-        ):
+        for label, array in arrays.items():
             offset = -(-offset // _ARRAY_ALIGN) * _ARRAY_ALIGN
-            arrays[label] = {
+            layout[label] = {
                 "dtype": array.dtype.str,
                 "offset": offset,
                 "count": int(array.size),
             }
             offset += array.nbytes
-        header = json.dumps(
-            {
-                "version": int(snapshot.version),
-                "digest": snapshot.digest,
-                "config_digest": snapshot.config_digest,
-                "published_at_ms": int(snapshot.published_at_ms),
-                "blended_rate": float(snapshot.blended_rate),
-                "gamma": float(snapshot.gamma),
-                "reference_distance_miles": (
-                    None
-                    if snapshot.reference_distance_miles is None
-                    else float(snapshot.reference_distance_miles)
-                ),
-                "provider_asn": int(snapshot.provider_asn),
-                "rates": {
-                    str(tier): float(rate)
-                    for tier, rate in snapshot.rates.items()
-                },
-                "arrays": arrays,
-            },
-            sort_keys=True,
-        ).encode("utf-8")
+        meta = {name: getattr(snapshot, name) for name in _SCALARS}
+        meta["rates"] = {str(tier): rate for tier, rate in meta["rates"].items()}
+        header = json.dumps(dict(meta, arrays=layout), sort_keys=True).encode()
         data_start = -(-(8 + len(header)) // _ALIGN) * _ALIGN
         total = data_start + offset
 
@@ -253,12 +186,8 @@ class SharedSnapshot:
         try:
             shm.buf[0:8] = _HEADER_LEN.pack(len(header))
             shm.buf[8 : 8 + len(header)] = header
-            for label, array in (
-                ("dsts", dsts),
-                ("tiers", tiers),
-                ("rate_by_tier", rate_by_tier),
-            ):
-                spec = arrays[label]
+            for label, array in arrays.items():
+                spec = layout[label]
                 view = np.frombuffer(
                     shm.buf,
                     dtype=np.dtype(spec["dtype"]),
@@ -319,8 +248,8 @@ class SharedSnapshot:
 class AttachedSnapshot:
     """A reader's zero-copy view of a published segment.
 
-    ``.snapshot`` is a :class:`SharedPricingSnapshot` whose arrays alias
-    the mapped buffer — nothing is copied at attach time, and the
+    ``.snapshot`` is a :class:`~repro.serve.snapshot.PricingSnapshot`
+    whose arrays alias the mapped buffer — nothing is copied at attach time, and the
     segment cannot change under the reader (segments are immutable;
     new designs get new segments).  Call :meth:`close` (or use as a
     context manager) to drop the views and unmap.
@@ -333,7 +262,7 @@ class AttachedSnapshot:
             meta = json.loads(bytes(shm.buf[8 : 8 + header_len]))
             data_start = -(-(8 + header_len) // _ALIGN) * _ALIGN
             columns = {}
-            for label, spec in meta["arrays"].items():
+            for label, spec in meta.pop("arrays").items():
                 view = np.frombuffer(
                     shm.buf,
                     dtype=np.dtype(spec["dtype"]),
@@ -341,25 +270,10 @@ class AttachedSnapshot:
                     offset=data_start + spec["offset"],
                 )
                 view.setflags(write=False)
-                columns[label] = view
-            self.snapshot: "Optional[SharedPricingSnapshot]" = (
-                SharedPricingSnapshot(
-                    version=meta["version"],
-                    digest=meta["digest"],
-                    config_digest=meta["config_digest"],
-                    published_at_ms=meta["published_at_ms"],
-                    blended_rate=meta["blended_rate"],
-                    gamma=meta["gamma"],
-                    reference_distance_miles=meta["reference_distance_miles"],
-                    provider_asn=meta["provider_asn"],
-                    rates={
-                        int(tier): rate
-                        for tier, rate in meta["rates"].items()
-                    },
-                    _dsts=columns["dsts"],
-                    _tiers=columns["tiers"],
-                    _rate_by_tier=columns["rate_by_tier"],
-                )
+                columns["_" + label] = view
+            meta["rates"] = {int(tier): rate for tier, rate in meta["rates"].items()}
+            self.snapshot: "Optional[PricingSnapshot]" = PricingSnapshot(
+                **meta, **columns
             )
         except BaseException:
             _close_segment(shm)

@@ -296,8 +296,7 @@ class PoolExecutor(Executor):
         from repro.runtime.spec import evaluate_spec
 
         specs = list(specs)
-        results = self.map(evaluate_spec, specs)
-        for spec, result in zip(specs, results):
+        for spec, result in zip(specs, self._results(evaluate_spec, specs)):
             yield spec.digest(), result
 
     def map(self, fn, items):
@@ -307,34 +306,45 @@ class PoolExecutor(Executor):
         is in play (module-level functions and frozen dataclasses are).
         """
         items = list(items)
-        workers = min(self.jobs, len(items)) or 1
+        workers = self._width(items)
+        stage = "map.serial" if workers <= 1 else "map.parallel"
         METRICS.incr("map_calls")
-        if workers <= 1:
-            with METRICS.stage("map.serial"), obs.span(
-                "runtime.map", items=len(items), workers=1
-            ):
-                return [fn(item) for item in items]
-        # "workers_used" reports the widest pool of the run (a max, not a sum).
-        METRICS.incr("workers_used", max(0, workers - METRICS.counter("workers_used")))
-        with METRICS.stage("map.parallel"), obs.span(
+        with METRICS.stage(stage), obs.span(
             "runtime.map", items=len(items), workers=workers
         ):
-            context = obs.current_context()
-            wire = None if context is None else context.to_wire()
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers
-            ) as pool:
-                futures = [
-                    pool.submit(_instrumented_call, fn, item, wire)
-                    for item in items
-                ]
-                results = []
-                for future in futures:
-                    result, delta, spans = future.result()
-                    METRICS.merge(delta)
-                    obs.adopt_spans(spans, context)
-                    results.append(result)
-        return results
+            return list(self._results(fn, items))
+
+    def _width(self, items: list) -> int:
+        return min(self.jobs, len(items)) or 1
+
+    def _results(self, fn, items: list) -> "Iterator[Any]":
+        """``fn(item)`` for each item in order, each yielded as soon as it
+        is ready: inline at width one, else the pooled futures in order.
+
+        Opens no span or stage, so a consumer may stop between results
+        (work not yet started is cancelled).
+        """
+        workers = self._width(items)
+        if workers <= 1:
+            for item in items:
+                yield fn(item)
+            return
+        # "workers_used" reports the widest pool of the run (a max, not a sum).
+        METRICS.incr("workers_used", max(0, workers - METRICS.counter("workers_used")))
+        context = obs.current_context()
+        wire = None if context is None else context.to_wire()
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        try:
+            futures = [
+                pool.submit(_instrumented_call, fn, item, wire) for item in items
+            ]
+            for future in futures:
+                result, delta, spans = future.result()
+                METRICS.merge(delta)
+                obs.adopt_spans(spans, context)
+                yield result
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 # ----------------------------------------------------------------------

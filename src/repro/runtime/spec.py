@@ -379,7 +379,3 @@ def _cached_result(spec: ExperimentSpec) -> "Optional[dict]":
     """Cache lookup that only *reads* (misses don't compute)."""
     hit, value = cache_lookup("result", spec.digest())
     return value if hit else None
-
-
-def _store_result(spec: ExperimentSpec, result: dict) -> None:
-    cache_store("result", spec.digest(), result)

@@ -10,6 +10,14 @@ arrays are read-only numpy arrays), so a reader that grabbed a snapshot
 reference can keep quoting from it while the registry swaps in a newer
 one: there is no torn state to observe, only an older consistent one.
 
+The destination index is the column a shared-memory segment stores
+(:mod:`repro.fleet.shm`): each label's text as fixed-width UTF-8 bytes
+(``S<w>``), sorted, with the tier ids aligned to it.  UTF-8 byte order
+is code-point order, so ``searchsorted`` on the bytes orders ``str``
+labels as ``sorted`` does.  numpy pads the column with NUL bytes, so a
+label whose text ends in U+0000 cannot be told from the one without it:
+:meth:`PricingSnapshot.build` rejects it, and such a query is unknown.
+
 ``config_digest`` records the *regime* the snapshot was derived under
 (the streaming pipeline's configuration fingerprint, or any caller-chosen
 string).  Quote requests may pin a regime; a mismatch degrades the quote
@@ -30,6 +38,33 @@ from repro.stream.repricer import DesignPublication
 
 #: Sentinel tier id for destinations the design has no tier for.
 UNKNOWN_TIER = 0
+
+#: Stands in for a query no label can equal: no UTF-8 text holds 0xFF.
+_NO_MATCH = b"\xff"
+
+
+def _destination_column(
+    labels: list, label_tiers: np.ndarray, *, resort: bool
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Sorted labels → their ``S<w>`` UTF-8 text column and aligned tiers.
+
+    Sorted ``str`` labels are in column order already; other labels are
+    keyed by their text, so the column is re-sorted (``resort``).
+
+    Raises:
+        DataError: A label's text is not UTF-8 or ends in U+0000.
+    """
+    texts = list(map(str, labels))
+    try:
+        column = np.array(list(map(str.encode, texts)))
+    except UnicodeEncodeError as exc:
+        raise DataError(f"destination label is not UTF-8 text: {exc}") from None
+    if "\0" in "".join(texts) and any(text.endswith("\0") for text in texts):
+        raise DataError("a destination label ends in U+0000")
+    if not resort:
+        return column, label_tiers
+    order = np.argsort(column, kind="stable")
+    return column[order], label_tiers[order]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,12 +124,12 @@ class PricingSnapshot:
             raise DataError(
                 f"design tiers must be contiguous from 1, got {tier_ids}"
             )
-        # Sorted destination column + aligned tier column: batch lookups
-        # are one searchsorted, not a Python loop over dict gets.
+        # The digest hashes the ``[dst, tier]`` pairs in label order.
         tier_of = design.tier_of_destination
         dst_list = sorted(tier_of)
-        dsts = np.array(dst_list, dtype=object)
-        tiers = np.array([tier_of[dst] for dst in dst_list], dtype=np.int64)
+        all_text = set(map(type, dst_list)) == {str}
+        label_tiers = np.array([tier_of[dst] for dst in dst_list], dtype=np.int64)
+        dsts, tiers = _destination_column(dst_list, label_tiers, resort=not all_text)
         # Index 0 is the unknown-destination fallback: the blended rate,
         # matching replay_design_prices' safe default.
         rate_by_tier = np.array(
@@ -110,8 +145,8 @@ class PricingSnapshot:
         )
         # ``[dst, tier]`` pairs; ``str`` labels and ``int`` tiers are
         # already canonical, so the hash skips walking them.
-        pairs = list(zip(dst_list, tiers.tolist()))
-        if set(map(type, dst_list)) == {str}:
+        pairs = list(zip(dst_list, label_tiers.tolist()))
+        if all_text:
             pairs = Canonical(pairs)
         digest = config_hash(
             {
@@ -172,23 +207,33 @@ class PricingSnapshot:
 
     @property
     def destinations(self) -> tuple:
-        """The designed destinations, sorted (load generators sample it)."""
-        return tuple(self._dsts)
+        """The designed destinations' text, sorted (load generators
+        sample it)."""
+        return tuple(raw.decode("utf-8") for raw in self._dsts.tolist())
 
     def tiers_for(self, destinations) -> np.ndarray:
-        """Vectorized destination→tier lookup.
+        """Vectorized destination→tier lookup, by each query's text.
 
         Returns one tier id per destination; :data:`UNKNOWN_TIER` (0) for
-        destinations the design has no tier for.
+        destinations the design has no tier for — among them a query
+        wider than the column or ending in U+0000.
         """
-        queries = np.asarray(destinations, dtype=object)
-        if queries.size == 0:
+        # A lone surrogate encodes to bytes no UTF-8 label holds.
+        encoded = [str(dst).encode("utf-8", "surrogatepass") for dst in destinations]
+        if not encoded:
             return np.zeros(0, dtype=np.int64)
+        width = self._dsts.dtype.itemsize
+        queries = np.array(
+            [
+                raw if len(raw) <= width and not raw.endswith(b"\0") else _NO_MATCH
+                for raw in encoded
+            ],
+            dtype=self._dsts.dtype,
+        )
         positions = np.searchsorted(self._dsts, queries)
         positions = np.minimum(positions, self._dsts.size - 1)
         hits = self._dsts[positions] == queries
-        tiers = np.where(hits, self._tiers[positions], UNKNOWN_TIER)
-        return tiers.astype(np.int64)
+        return np.where(hits, self._tiers[positions], UNKNOWN_TIER)
 
     def prices_for_tiers(self, tiers: np.ndarray) -> np.ndarray:
         """Tier ids → unit prices; unknown (0) maps to the blended rate."""

@@ -101,6 +101,25 @@ class TestDrift:
         assert report.unknown_destinations == 10
         assert report.missing_destinations == 0
 
+    def test_unknown_destinations_are_counted_once(self):
+        """Five flows, three of them to one untiered destination: one
+        unknown destination, not three."""
+        design = TierDesign(
+            provider_asn=64500,
+            rates={1: 30.0, 2: 12.0},
+            tier_of_destination={"10.0.0.1": 1, "10.0.0.2": 2},
+        )
+        flows = FlowSet(
+            demands_mbps=[40.0, 25.0, 10.0, 8.0, 5.0],
+            distances_miles=[10.0, 300.0, 50.0, 900.0, 2000.0],
+            dsts=["10.0.0.1", "10.9.9.9", "10.0.0.2", "10.9.9.9", "10.9.9.9"],
+        )
+        report = evaluate_drift(
+            design, flows, CEDDemand(1.1), LinearDistanceCost(0.2), P0
+        )
+        assert report.unknown_destinations == 1
+        assert report.missing_destinations == 0
+
     def test_churned_destinations_counted(self, design, base_flows):
         shrunk = base_flows.subset(list(range(25)))
         report = evaluate_drift(

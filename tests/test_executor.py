@@ -393,6 +393,21 @@ class TestConformance:
         with pytest.raises(ExecutorError, match="incomplete"):
             run_specs(SPECS[:2], executor=Lossy(), use_cache=False)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_killed_pool_sweep_keeps_what_it_finished(self, fresh_cache, jobs):
+        """Spec 3 of 4 fails: the pool has yielded, and so cached, the two
+        before it, and the rerun of those builds no market."""
+        broken = dataclasses.replace(SPECS[2], family="no-such-family")
+        with pytest.raises(ValueError, match="no-such-family"):
+            run_specs(
+                [SPECS[0], SPECS[1], broken, SPECS[3]], jobs=jobs, executor="pool"
+            )
+        METRICS.reset()
+        run_specs(SPECS[:2], jobs=jobs, executor="pool")
+        counters = METRICS.snapshot()["counters"]
+        assert counters.get("cache_hits:result", 0) == 2
+        assert counters.get("markets_built", 0) == 0
+
 
 # ----------------------------------------------------------------------
 # SocketExecutor chaos

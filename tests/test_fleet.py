@@ -14,6 +14,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.accounting.tier_designer import TierDesign
 from repro.config import FleetConfig
@@ -27,7 +29,6 @@ from repro.fleet import (
     AttachedSnapshot,
     FleetClient,
     FrontDoor,
-    SharedPricingSnapshot,
     SharedSnapshot,
     ShardFleet,
     run_socket_load,
@@ -35,6 +36,7 @@ from repro.fleet import (
     shard_of,
 )
 from repro.fleet.frontdoor import encode_frame, read_frame
+from repro.mechanisms import MECHANISM_NAMES, mechanism_by_name
 from repro.obs import METRICS
 from repro.serve import (
     PricingSnapshot,
@@ -92,6 +94,37 @@ def shm_segments():
         return []
 
 
+@st.composite
+def labelled_queries(draw):
+    """Distinct labels (ASCII or not, none ending in U+0000) and queries
+    around them: labels, their prefixes and extensions, the empty
+    string, queries wider than the column and labels plus U+0000."""
+    alphabet = draw(
+        st.sampled_from([st.characters(max_codepoint=127), st.characters()])
+    )
+    labels = draw(
+        st.lists(
+            st.text(alphabet, max_size=10).filter(
+                lambda text: not text.endswith("\0")
+            ),
+            min_size=1,
+            max_size=30,
+            unique=True,
+        )
+    )
+    label = st.sampled_from(labels)
+    query = st.one_of(
+        label,
+        label.flatmap(lambda text: st.integers(0, len(text)).map(lambda k: text[:k])),
+        st.tuples(label, st.text(alphabet, min_size=1, max_size=3)).map("".join),
+        st.just(""),
+        label.map(lambda text: text + "\0"),
+        label.map(lambda text: text + "w" * 41),
+        st.text(alphabet, max_size=12),
+    )
+    return labels, draw(st.lists(query, min_size=1, max_size=25))
+
+
 @pytest.fixture
 def snapshot():
     return make_snapshot()
@@ -134,28 +167,40 @@ class TestSharedSnapshot:
         attached.close()
         segment.unlink()
 
-    def test_lookups_match_original(self, snapshot):
-        queries = [
-            "10.0.0.1",
-            "10.0.5.1",
-            "0.0.0.0",
-            "99.99.99.99",
-            "10.0.2.1",
-            "",
-            "a-destination-far-wider-than-the-table-column",
-        ]
+    @settings(max_examples=60, deadline=None)
+    @given(case=labelled_queries())
+    @example(
+        case=(
+            ["10.0.0.1", "10.0.0.10", "10.0.0.2"],
+            [
+                "10.0.0.1", "10.0.0.10", "10.0.0.100", "10.0.0.", "",
+                "10.0.0.1\u0000", "10.0.0.10\u0000\u0000", "\u0000",
+                "a-destination-far-wider-than-the-table-column",
+            ],
+        )
+    )
+    def test_tiers_for_is_the_design_lookup(self, case):
+        """In process and through a segment, a query's tier is the
+        design's own: prefixes and extensions of a label, the empty
+        string, queries wider than the column and ones ending in U+0000
+        included."""
+        labels, queries = case
+        design = TierDesign(
+            provider_asn=64500,
+            rates={1: 30.0, 2: 20.0, 3: 10.0},
+            tier_of_destination={
+                label: 1 + i % 3 for i, label in enumerate(labels)
+            },
+        )
+        snapshot = PricingSnapshot.build(
+            design, version=1, config_digest="r", blended_rate=P0, gamma=1.0
+        )
+        expected = [design.tier_of_destination.get(q, 0) for q in queries]
+        assert snapshot.tiers_for(queries).tolist() == expected
         with SharedSnapshot.publish(snapshot) as segment:
             with AttachedSnapshot(segment.name) as attached:
-                np.testing.assert_array_equal(
-                    attached.snapshot.tiers_for(queries),
-                    snapshot.tiers_for(queries),
-                )
-                np.testing.assert_allclose(
-                    attached.snapshot.prices_for_tiers(
-                        attached.snapshot.tiers_for(queries)
-                    ),
-                    snapshot.prices_for_tiers(snapshot.tiers_for(queries)),
-                )
+                assert attached.snapshot.tiers_for(queries).tolist() == expected
+                assert attached.snapshot.destinations == tuple(sorted(labels))
 
     def test_attach_is_zero_copy(self, snapshot):
         with SharedSnapshot.publish(snapshot) as segment:
@@ -172,7 +217,7 @@ class TestSharedSnapshot:
                     assert not array.flags["WRITEABLE"]
                 with pytest.raises(ValueError):
                     shared._tiers[0] = 99
-                assert isinstance(shared, SharedPricingSnapshot)
+                assert type(shared) is PricingSnapshot
                 del shared, array
 
     def test_segment_name_is_versioned_by_digest(self, snapshot):
@@ -558,6 +603,44 @@ class TestOneQuotePath:
         assert shm_segments() == []
 
 
+class TestDesignPriceThroughTheFrontDoor:
+    def test_every_flow_is_quoted_its_design_price(self):
+        """For each mechanism in turn, one 2-shard fleet serves the
+        design's snapshot, and the front door quotes every flow's
+        destination at the flow's design price."""
+        rng = np.random.default_rng(11)
+        n = 40
+        flows = FlowSet(
+            demands_mbps=rng.uniform(0.5, 500.0, n),
+            distances_miles=rng.uniform(0.0, 3000.0, n),
+            dsts=[f"10.0.{i // 256}.{i % 256}" for i in range(n)],
+        )
+        market = Market(flows, CEDDemand(1.1), COST_MODEL, P0)
+        requests = [
+            QuoteRequest(dst=dst, distance_miles=float(miles))
+            for dst, miles in zip(flows.dsts, flows.distances)
+        ]
+        assert {shard_of(r.dst, 2) for r in requests} == {0, 1}
+        config = FleetConfig(shards=2, heartbeat_ms=25.0, timeout_ms=5000.0)
+        with ShardFleet(COST_MODEL, config, fallback_blended_rate=P0) as fleet:
+            for name in MECHANISM_NAMES:
+                mechanism = mechanism_by_name(name, n_tiers=3)
+                design = mechanism.design_on(market)
+                published = fleet.publish(
+                    mechanism.snapshot(
+                        design, version=fleet.version + 1, config_digest="fd"
+                    )
+                )
+                answers = quote_frame(fleet, requests)
+                assert all(a["known"] and not a["degraded"] for a in answers)
+                assert {a["snapshot_digest"] for a in answers} == {
+                    published.digest
+                }
+                assert [a["unit_price"] for a in answers] == design.prices.tolist()
+        assert fleet.version == len(MECHANISM_NAMES)
+        assert shm_segments() == []
+
+
 # ----------------------------------------------------------------------
 # Front door
 # ----------------------------------------------------------------------
@@ -710,6 +793,38 @@ class TestFrontDoor:
         for quote in (good, other):
             assert not quote["degraded"] and quote["known"]
         assert delta == {"fleet.bad_requests": 1, "fleet.shard_failures": 0}
+        assert shm_segments() == []
+
+    def test_label_plus_u0000_is_an_unknown_destination(self):
+        """A segment's column pads its labels with NUL bytes; the row for
+        ``10.0.0.1`` + U+0000 (no wider than the column) is still unknown,
+        at the blended rate, while the other rows of its frame are
+        priced."""
+        design = TierDesign(
+            provider_asn=64500,
+            rates={1: 30.0, 2: 15.0},
+            tier_of_destination={"10.0.0.1": 1, "10.0.0.10": 2, "10.0.2.1": 2},
+        )
+        snapshot = PricingSnapshot.build(
+            design, version=1, config_digest="r", blended_rate=P0, gamma=1.0
+        )
+        rows = [{"dst": dst} for dst in ("10.0.0.1", "10.0.0.1\u0000", "10.0.2.1")]
+        config = FleetConfig(shards=2, heartbeat_ms=25.0, timeout_ms=5000.0)
+
+        async def scenario(fleet):
+            async with FrontDoor(fleet) as door:
+                async with await FleetClient.connect(
+                    door.host, door.port
+                ) as client:
+                    return await client.quote_batch(rows)
+
+        with ShardFleet(COST_MODEL, config, fallback_blended_rate=P0) as fleet:
+            fleet.publish(snapshot)
+            good, padded, other = asyncio.run(scenario(fleet))
+        assert not padded["known"] and not padded["degraded"]
+        assert padded["tier"] is None and padded["unit_price"] == P0
+        assert (good["tier"], good["unit_price"]) == (1, 30.0)
+        assert (other["tier"], other["unit_price"]) == (2, 15.0)
         assert shm_segments() == []
 
     @pytest.mark.parametrize(

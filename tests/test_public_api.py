@@ -80,6 +80,8 @@ def test_config_and_obs_types_reach_the_top_level():
         ("repro.config", "DEPRECATION_PREFIX"),
         ("repro.experiments", "capture_by_strategy"),
         ("repro.experiments.runner", "capture_by_strategy"),
+        ("repro.fleet", "SharedPricingSnapshot"),
+        ("repro.fleet.shm", "SharedPricingSnapshot"),
         ("repro.peering", "sweep_direct_costs"),
         ("repro.peering.bypass", "sweep_direct_costs"),
     ],

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.accounting.tier_designer import TierDesign
@@ -175,11 +175,25 @@ class TestPricingSnapshot:
 
     @settings(max_examples=80, deadline=None)
     @given(case=snapshot_designs())
+    @example(
+        case=(
+            TierDesign(
+                provider_asn=1, rates={1: 5.0}, tier_of_destination={"a\u0000": 1}
+            ),
+            dict(config_digest="r", blended_rate=P0, gamma=1.0),
+        )
+    )
     def test_digest_hashes_the_pair_by_pair_payload(self, case):
         design, kwargs = case
+        texts = [str(label) for label in design.tier_of_destination]
+        if any(text.endswith("\0") for text in texts):
+            # The destination column pads with NUL bytes: no such label.
+            with pytest.raises(DataError, match="U\\+0000"):
+                PricingSnapshot.build(design, version=1, **kwargs)
+            return
         snapshot = PricingSnapshot.build(design, version=1, **kwargs)
         assert snapshot.digest == config_hash(ref.snapshot_payload(design, **kwargs))
-        assert list(snapshot.destinations) == sorted(design.tier_of_destination)
+        assert list(snapshot.destinations) == sorted(texts)
 
     def test_lookup_arrays_are_immutable(self, registry):
         snapshot = publish(registry)

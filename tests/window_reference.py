@@ -41,23 +41,24 @@ def snapshot_payload(
 
 
 def replay_design_prices(design, market) -> "tuple[np.ndarray, int, int]":
-    """The per-code replay loop: one dict lookup per present code."""
+    """The per-code replay loop: one dict lookup per present code; the
+    unknown count is of distinct labelled destinations."""
     codes = market.flows.dst_codes
     table = market.flows.dst_table
     rate_by_code = np.full(len(table) + 1, float(market.blended_rate))
-    known = np.zeros(len(table) + 1, dtype=bool)
     seen = set()
+    unseen = set()
     for code in (int(c) for c in np.unique(codes) if c >= 0):
         dst = table[code]
         tier = design.tier_of_destination.get(dst)
-        if tier is not None:
+        if tier is None:
+            unseen.add(dst)
+        else:
             rate_by_code[code] = design.rates[tier]
-            known[code] = True
             seen.add(dst)
     prices = rate_by_code[codes]
-    unknown = int(np.count_nonzero(~known[codes]))
     missing = len(set(design.tier_of_destination) - seen)
-    return prices, unknown, missing
+    return prices, len(unseen), missing
 
 
 def held_tiers(design, dsts) -> np.ndarray:
