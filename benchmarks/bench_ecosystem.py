@@ -2,17 +2,20 @@
 
 Times world generation (Base + Relationships) and all-pairs valley-free
 routing separately at each world size.  Routing is the quadratic part —
-three dense N x N sweeps — so the committed baseline JSON is the scaling
-trajectory for the vectorized row-update implementation; diffs show if a
-change makes the sweeps super-quadratic or the generator stops being
-negligible.  Traffic is *derived* (per-AS tables materialize on demand),
-so one representative flow-table draw is timed per size rather than all N.
+three dense N x N sweeps — and the time budgets hold it to the
+vectorized row-update implementation.  The committed baseline JSON and
+text hold what repeats run to run (edge counts, reachability, path
+lengths); the seconds are ``bench.ecosystem.<ases>.*`` stages in the
+untracked metrics JSON.  Traffic is *derived* (per-AS tables
+materialize on demand), so one representative flow-table draw is timed
+per size rather than all N.
 """
 
 import json
 import time
 
 from repro.ecosystem import EcosystemSpec, render_ecosystem, verify_valley_free
+from repro.obs import METRICS
 from repro.runtime import cache
 
 from conftest import OUTPUT_DIR
@@ -26,10 +29,12 @@ BUDGET_1K_S = 60.0
 
 
 def ecosystem_scale(sizes=SIZES):
+    """The worlds' rows, and each size's ``(generate + route, flow
+    table)`` seconds."""
     # Disable memoization so every row times real generation work.
     cache.configure(enabled=False)
     try:
-        rows = []
+        rows, seconds = [], {}
         for size in sizes:
             spec = EcosystemSpec.from_counts(ases=size, ixps=3, seed=SEED)
             t0 = time.perf_counter()
@@ -42,11 +47,12 @@ def ecosystem_scale(sizes=SIZES):
 
             assert verify_valley_free(eco, max_pairs=500) > 0
             routing = eco.tables.summary()
+            seconds[size] = (t_total, t_flow_table)
+            METRICS.observe(f"bench.ecosystem.{size}.generate_route", t_total)
+            METRICS.observe(f"bench.ecosystem.{size}.flow_table", t_flow_table)
             rows.append(
                 {
                     "n_ases": size,
-                    "generate_route_s": round(t_total, 4),
-                    "flow_table_s": round(t_flow_table, 4),
                     "up_edges": int(eco.up_edges.shape[0]),
                     "peer_edges": int(eco.peer_edges.shape[0]),
                     "reachable_fraction": routing["reachable_fraction"],
@@ -54,47 +60,42 @@ def ecosystem_scale(sizes=SIZES):
                     "n_flows": len(table),
                 }
             )
-        return rows
+        return rows, seconds
     finally:
         cache.configure(enabled=True)
 
 
-def render(rows):
-    header = (
-        f"{'ASes':>8}{'gen+route s':>13}{'flow tbl s':>12}{'up':>7}"
-        f"{'peer':>7}{'reach':>8}{'path':>7}"
-    )
+def render(rows, name):
+    header = f"{'ASes':>8}{'up':>7}{'peer':>7}{'reach':>8}{'path':>7}"
     lines = [header, "-" * len(header)]
     for row in rows:
         lines.append(
-            f"{row['n_ases']:>8,}{row['generate_route_s']:>13.3f}"
-            f"{row['flow_table_s']:>12.4f}{row['up_edges']:>7}"
+            f"{row['n_ases']:>8,}{row['up_edges']:>7}"
             f"{row['peer_edges']:>7}{row['reachable_fraction']:>8.3f}"
             f"{row['mean_path_len']:>7.2f}"
         )
+    lines.append(f"(times in {name}.metrics.json)")
     return "\n".join(lines)
 
 
 def test_ecosystem_smoke(run_once, save_output):
     """CI time-budget smoke: a 200-AS world builds well inside a second."""
-    rows = run_once(ecosystem_scale, sizes=(200,))
-    save_output("ecosystem_smoke", render(rows))
-    assert rows[0]["generate_route_s"] < BUDGET_1K_S / 10
+    rows, seconds = run_once(ecosystem_scale, sizes=(200,))
+    save_output("ecosystem_smoke", render(rows, "ecosystem_smoke"))
+    assert seconds[200][0] < BUDGET_1K_S / 10
     assert rows[0]["reachable_fraction"] == 1.0
 
 
 def test_ecosystem_scale(run_once, save_output):
-    rows = run_once(ecosystem_scale)
-    save_output("ecosystem_scale", render(rows))
+    rows, seconds = run_once(ecosystem_scale)
+    save_output("ecosystem_scale", render(rows, "ecosystem_scale"))
     OUTPUT_DIR.mkdir(exist_ok=True)
     (OUTPUT_DIR / "ecosystem_scale.baseline.json").write_text(
         json.dumps(rows, indent=2, sort_keys=True) + "\n"
     )
-    by_size = {row["n_ases"]: row for row in rows}
-    thousand = by_size[1_000]
-    assert thousand["generate_route_s"] < BUDGET_1K_S
+    assert seconds[1_000][0] < BUDGET_1K_S
     # The tier-1 clique guarantees a fully routed world at every size.
     assert all(row["reachable_fraction"] == 1.0 for row in rows)
     # Per-AS tables stay cheap no matter the world size (derived, not
     # stored): one draw is a few numpy allocations.
-    assert all(row["flow_table_s"] < 1.0 for row in rows)
+    assert all(flow_table_s < 1.0 for _, flow_table_s in seconds.values())

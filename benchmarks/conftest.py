@@ -12,7 +12,11 @@ timed driver call plus the run's :data:`repro.runtime.METRICS` snapshot
 and per-stage timings.  The records differ on every run (wall times,
 and counters that depend on what earlier benches in the session
 cached), so git ignores them and CI uploads them as an artifact; the
-text artifacts are deterministic and stay tracked.
+text artifacts and baselines are deterministic and stay tracked.  A
+bench CI runs records the seconds it times as ``bench.*`` stages in its
+metrics JSON, never in a tracked file (``bench_scale.py``'s full
+throughput run, which CI skips, still archives its flows-vs-seconds
+trajectory).
 """
 
 from __future__ import annotations
@@ -34,17 +38,26 @@ def _fresh_metrics():
     yield
 
 
+def write_metrics(name: str, **record) -> None:
+    """Write the run's metrics (plus ``record``'s keys, say a machine's
+    ``cpu_count``) to the untracked ``benchmarks/output/<name>.metrics.json``."""
+    OUTPUT_DIR.mkdir(exist_ok=True)
+    (OUTPUT_DIR / f"{name}.metrics.json").write_text(
+        METRICS.to_json(artifact=name, **record) + "\n"
+    )
+
+
 @pytest.fixture
 def save_output():
-    """Write a rendered figure/table (plus the run's metrics JSON) to
-    ``benchmarks/output/<name>.txt`` / ``<name>.metrics.json``."""
+    """Write a rendered figure/table (plus the run's metrics JSON, with
+    any extra ``record`` keys) to ``benchmarks/output/<name>.txt`` /
+    ``<name>.metrics.json``."""
 
-    def _save(name: str, text: str) -> pathlib.Path:
+    def _save(name: str, text: str, **record) -> pathlib.Path:
         OUTPUT_DIR.mkdir(exist_ok=True)
         path = OUTPUT_DIR / f"{name}.txt"
         path.write_text(text + "\n")
-        metrics_path = OUTPUT_DIR / f"{name}.metrics.json"
-        metrics_path.write_text(METRICS.to_json(artifact=name) + "\n")
+        write_metrics(name, **record)
         print(text)
         return path
 

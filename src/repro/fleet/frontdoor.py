@@ -27,9 +27,13 @@ slice if it must), answered at once as degraded blended-rate quotes and
 counted per row in ``fleet.shed``.  One dispatcher task per shard joins
 the slices at its queue's head into a batch of up to ``max_batch`` rows
 and round-trips it via :meth:`~repro.fleet.shard.ShardFleet.quote_shard`
-on an executor thread, so the loop never blocks on a pipe.  Every
-answer is a row of :func:`~repro.serve.engine.quote_rows`, built from
-the shard's payload columns.
+on an executor thread, so the loop never blocks on a pipe.  Answers stay
+text from there to the socket: :func:`~repro.serve.engine.quote_texts`
+writes each row's JSON straight from the shard's payload columns (the
+compact ``json.dumps`` of its :func:`~repro.serve.engine.quote_rows`
+dict, without building the dict), a bad row's answer is the JSON of its
+``{"error": ...}``, and a quote reply's frame joins them under the
+frame's ``id``.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from repro.serve.engine import (
     REQUEST_DEFAULTS,
     RequestColumns,
     check_request,
-    quote_rows,
+    quote_texts,
 )
 from repro.fleet.shard import ShardFleet, shard_of
 
@@ -66,8 +70,16 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 _REQUEST_FIELDS = frozenset(REQUEST_DEFAULTS)
 
 
-def encode_frame(payload: dict) -> bytes:
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def encode_frame(payload) -> bytes:
+    """One frame of ``payload``: a dict to encode as compact JSON, or a
+    body already written as JSON text (a quote reply's)."""
+    if not isinstance(payload, str):
+        payload = _compact(payload)
+    body = payload.encode("utf-8")
     return _FRAME_LEN.pack(len(body)) + body
 
 
@@ -96,8 +108,8 @@ async def read_frame(reader: asyncio.StreamReader):
 
 class _Slice:
     """One frame's rows bound for one shard: they queue, split, shed and
-    are answered as one unit, with one future.  Row ``j`` answers
-    ``answers[rows[j]]``; rows ``start:`` are still queued."""
+    are answered as one unit, with one future.  Row ``j``'s JSON text
+    answers ``answers[rows[j]]``; rows ``start:`` are still queued."""
 
     __slots__ = ("columns", "pinned", "rows", "answers", "start", "pending",
                  "future", "submitted_at")
@@ -111,12 +123,12 @@ class _Slice:
         self.future = future
         self.submitted_at = time.perf_counter()
 
-    def answer(self, lo: int, hi: int, rows: "list[dict]") -> None:
-        """Answer rows ``lo:hi`` with wire ``rows``."""
+    def answer(self, lo: int, hi: int, texts: "list[str]") -> None:
+        """Answer rows ``lo:hi`` with their JSON ``texts``."""
         if self.future.done():  # the frame's task was cancelled
             return
-        for at, row in zip(self.rows[lo:hi], rows):
-            self.answers[at] = row
+        for at, text in zip(self.rows[lo:hi], texts):
+            self.answers[at] = text
         METRICS.observe_latency(
             "fleet.request", time.perf_counter() - self.submitted_at, hi - lo
         )
@@ -127,7 +139,8 @@ class _Slice:
 
 def _parse_quotes(raw: list, n_shards: int, new_future) -> tuple:
     """One pass over a frame's ``quotes``: ``(answers, slices by shard,
-    bad rows)``, each bad row already answered with its own error."""
+    bad rows)``, each bad row already answered with its own error's
+    JSON."""
     answers: list = [None] * len(raw)
     slices: "dict[int, _Slice]" = {}
     bad = 0
@@ -146,7 +159,7 @@ def _parse_quotes(raw: list, n_shards: int, new_future) -> tuple:
             check_request(dst, volume, distance, region, regime)
         except (ReproError, TypeError) as exc:
             bad += 1
-            answers[i] = {"error": f"{type(exc).__name__}: {exc}"}
+            answers[i] = _compact({"error": f"{type(exc).__name__}: {exc}"})
             continue
         sid = shard_of(dst, n_shards)
         piece = slices.get(sid)
@@ -306,7 +319,8 @@ class FrontDoor:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass  # client went away; nothing left to route to
 
-    async def _serve_quotes(self, frame_id, frame: dict) -> dict:
+    async def _serve_quotes(self, frame_id, frame: dict):
+        """A quote frame's reply: its JSON text, or an error dict."""
         raw = frame.get("quotes")
         if not isinstance(raw, list) or not raw:
             METRICS.incr("fleet.bad_frames")
@@ -326,7 +340,7 @@ class FrontDoor:
             self._admit(sid, piece)
         for piece in slices.values():
             await piece.future
-        return {"id": frame_id, "quotes": answers}
+        return f'{{"id":{_compact(frame_id)},"quotes":[{",".join(answers)}]}}'
 
     # ------------------------------------------------------------------
     # Admission queues and shard dispatch
@@ -371,10 +385,10 @@ class FrontDoor:
     @staticmethod
     def _answer(parts, payload: dict) -> None:
         """Answer ``parts`` in order with the rows of one payload."""
-        rows = quote_rows(payload, sum(hi - lo for _, lo, hi in parts))
+        texts = quote_texts(payload, sum(hi - lo for _, lo, hi in parts))
         at = 0
         for piece, lo, hi in parts:
-            piece.answer(lo, hi, rows[at : at + hi - lo])
+            piece.answer(lo, hi, texts[at : at + hi - lo])
             at += hi - lo
 
     @staticmethod

@@ -10,25 +10,29 @@ scaled by the snapshot's calibration).
 Batches are the native shape, and columns are the native batch:
 :meth:`QuoteEngine.quote_columns` is the one pricing core (one snapshot
 grab, one vectorized destination→tier lookup, one cost-model pass — no
-per-flow Python loop), and :func:`quote_rows` is the one place its
-payload becomes answers: wire rows for the fleet's front door, and
-through :func:`quotes_from_columns`, :class:`Quote` objects.
+per-flow Python loop), and its payload becomes answers in one of two
+spellings: :func:`quote_rows` makes dicts keyed by :class:`Quote`'s
+fields (through :func:`quotes_from_columns`, :class:`Quote` objects),
+and :func:`quote_texts` writes each of those dicts' compact JSON
+straight from the columns, for the fleet's front door to send.
 :meth:`QuoteEngine.quote_batch` and :meth:`QuoteEngine.quote` are
-adapters over the two; the shard fleet sends the same columns
+adapters over the core; the shard fleet sends the same columns
 (:class:`RequestColumns`) over its pipes.  :func:`check_request` holds
 the one set of request checks, which :class:`QuoteRequest` and the
 front door's column parse both run.
 
 Degradation, not exceptions, is the failure mode: with no snapshot
 published (or a request pinned to a different regime than the active
-snapshot), the quote comes back at the blended rate ``P0`` with
-``degraded=True`` — the operator's safe default, the same fallback the
-drift replay uses for unknown destinations.
+snapshot, or one whose cost or profit overflows a float), the quote
+comes back at the blended rate ``P0`` with ``degraded=True`` — the
+operator's safe default, the same fallback the drift replay uses for
+unknown destinations.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from collections.abc import Sequence
 from typing import Optional
@@ -42,6 +46,9 @@ from repro import obs
 from repro.obs import METRICS
 from repro.serve.registry import SnapshotRegistry
 from repro.serve.snapshot import PricingSnapshot
+
+#: The reason a row whose cost or profit overflows a float degrades.
+COST_OUT_OF_RANGE = "cost out of range"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -209,17 +216,22 @@ class QuoteEngine:
         """Price a batch given as columns: the one pricing core.
 
         ``regions`` and ``regimes`` are optional columns whose ``None``
-        entries mark rows without a label or pin.  The snapshot is
-        grabbed once, so every row is answered by the same published
-        state; a row pinned to another regime degrades on its own.
+        entries mark rows without a label or pin; a ``None`` destination
+        is unknown.  The snapshot is grabbed once, so every row is
+        answered by the same published state; a row pinned to another
+        regime, or whose cost or profit overflows a float
+        (:data:`COST_OUT_OF_RANGE`), degrades on its own.
 
         Returns a dict of flat columns that pickles at buffer-copy speed
-        (the shard pipe carries it as is) and that :func:`quote_rows`
-        turns into answers: the
+        (the shard pipe carries it as is) and that :func:`quote_rows` and
+        :func:`quote_texts` turn into answers: the
         :func:`degraded_columns` payload when no snapshot is published,
         else ``prices``, ``tiers``, ``unit_costs`` and ``profits`` arrays
         aligned to the input plus ``reasons``, the degraded rows' reasons
-        by row (``None`` when every row priced).
+        by row (``None`` when every row priced).  The contract
+        :func:`quote_texts` relies on: each row's price is its tier's
+        rate (``snapshot.prices_for_tiers(tiers)``), and every row
+        without a reason has a finite unit cost and profit.
         """
         n = len(dsts)
         METRICS.incr("serve.quotes", n)
@@ -246,11 +258,15 @@ class QuoteEngine:
                     METRICS.incr("serve.degraded")
                     obs.event("engine.degraded", reason="regime mismatch")
         with METRICS.stage("serve.lookup"):
+            # No label ends in U+0000 (``PricingSnapshot.build`` rejects
+            # it), so "\0" looks a missing destination up as unknown.
             tiers = snapshot.tiers_for(
-                ["" if dst is None else dst for dst in dsts]
+                ["\0" if dst is None else dst for dst in dsts]
             )
             prices = snapshot.prices_for_tiers(tiers)
-        with METRICS.stage("serve.cost"):
+        with METRICS.stage("serve.cost"), np.errstate(
+            over="ignore", invalid="ignore"
+        ):
             flows = FlowSet.from_columns(
                 np.asarray(volumes_mbps, dtype=float),
                 np.asarray(distances_miles, dtype=float),
@@ -269,6 +285,13 @@ class QuoteEngine:
                         snapshot, flows.subset(live)
                     )
             profits = (prices - unit_costs) * flows.demands
+        # A profit is finite only if its price and cost are (volumes are
+        # positive): a live row whose floats overflow degrades.
+        for i in np.flatnonzero(~np.isfinite(profits)).tolist():
+            if i not in reasons:
+                reasons[i] = COST_OUT_OF_RANGE
+                METRICS.incr("serve.degraded")
+                obs.event("engine.degraded", reason=COST_OUT_OF_RANGE)
         return {
             "degraded": False,
             "prices": prices,
@@ -366,9 +389,10 @@ def quote_rows(payload: dict, n: int) -> "list[dict]":
     :func:`degraded_columns` payload, as wire rows keyed by
     :class:`Quote`'s fields, in order.
 
-    The one place answers are made: the front door sends these rows, and
-    :func:`quotes_from_columns` makes them quotes.  Degraded answers
-    price at the blended rate with no tier, cost or profit attribution.
+    The answers' meaning is written here: :func:`quotes_from_columns`
+    makes these rows quotes, and :func:`quote_texts` must spell each as
+    its compact JSON.  Degraded answers price at the blended rate with
+    no tier, cost or profit attribution.
     """
     version = payload["version"]
     digest = payload["digest"]
@@ -404,6 +428,54 @@ def quote_rows(payload: dict, n: int) -> "list[dict]":
     for i, reason in (payload["reasons"] or {}).items():
         rows[i] = degraded(reason)
     return rows
+
+
+def quote_texts(payload: dict, n: int) -> "list[str]":
+    """The ``n`` answers of one payload as JSON text, in order: text
+    ``i`` is ``json.dumps(row, separators=(",", ":"))`` of row ``i`` of
+    :func:`quote_rows`, written from the columns with no row dict.
+
+    The tail every row shares (snapshot version, digest and reason) is
+    written once per payload, and a priced row's head (price, tier,
+    ``known``, ``degraded``) once per tier, because a row's price is its
+    tier's rate.  Each priced row adds its unit cost and profit through
+    ``float.__repr__``, json's spelling of a finite float, so the payload
+    must keep :meth:`QuoteEngine.quote_columns`' contract: every row
+    without a reason has finite floats.  A degraded row adds one
+    ``json.dumps``, of its reason.
+    """
+    dumps = json.dumps
+    shared = (
+        f',"snapshot_version":{dumps(payload["version"])}'
+        f',"snapshot_digest":{dumps(payload["digest"])},"reason":'
+    )
+    degraded_head = (
+        f'{{"unit_price":{dumps(float(payload["blended"]))},"tier":null,'
+        '"known":false,"degraded":true,"unit_cost":null,'
+        '"profit_contribution":null' + shared
+    )
+    if payload["degraded"]:
+        return [f"{degraded_head}{dumps(payload['reason'])}}}"] * n
+    tiers = payload["tiers"].tolist()
+    # One rate per tier, so one head per tier (UNKNOWN_TIER is 0).
+    heads = {
+        tier: (
+            f'{{"unit_price":{dumps(price)},"tier":{tier or "null"},'
+            f'"known":{"true" if tier else "false"},"degraded":false,'
+            '"unit_cost":'
+        )
+        for tier, price in dict(zip(tiers, payload["prices"].tolist())).items()
+    }
+    tail = shared + "null}"
+    texts = [
+        f'{heads[tier]}{cost!r},"profit_contribution":{profit!r}{tail}'
+        for tier, cost, profit in zip(
+            tiers, payload["unit_costs"].tolist(), payload["profits"].tolist()
+        )
+    ]
+    for i, reason in (payload["reasons"] or {}).items():
+        texts[i] = f"{degraded_head}{dumps(reason)}}}"
+    return texts
 
 
 def quotes_from_columns(payload: dict, n: int) -> "list[Quote]":

@@ -46,6 +46,8 @@ from repro.serve import (
     generate_requests,
 )
 from repro.serve.engine import (
+    degraded_columns,
+    quote_rows,
     quote_to_wire,
     quotes_from_columns,
     request_columns,
@@ -94,19 +96,28 @@ def shm_segments():
         return []
 
 
+def _buildable(text: str) -> bool:
+    """A label ``PricingSnapshot.build`` takes: UTF-8 text (no lone
+    surrogate) that does not end in U+0000."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return not text.endswith("\0")
+
+
 @st.composite
 def labelled_queries(draw):
-    """Distinct labels (ASCII or not, none ending in U+0000) and queries
-    around them: labels, their prefixes and extensions, the empty
-    string, queries wider than the column and labels plus U+0000."""
+    """Distinct labels (ASCII or not, UTF-8, none ending in U+0000) and
+    queries around them: labels, their prefixes and extensions, the
+    empty string, queries wider than the column and labels plus U+0000
+    (lone surrogates among the non-ASCII queries)."""
     alphabet = draw(
         st.sampled_from([st.characters(max_codepoint=127), st.characters()])
     )
     labels = draw(
         st.lists(
-            st.text(alphabet, max_size=10).filter(
-                lambda text: not text.endswith("\0")
-            ),
+            st.text(alphabet, max_size=10).filter(_buildable),
             min_size=1,
             max_size=30,
             unique=True,
@@ -1505,6 +1516,143 @@ class TestColumnarFrontDoor:
             "fleet.shed": 3, "fleet.degraded": 3, "fleet.requests": 11,
             "latencies": 11,
         }
+
+
+def strict_json(body: bytes):
+    """A reply parsed as RFC 8259 JSON: ``NaN`` and ``Infinity`` are
+    errors, as they are to a strict client."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(body, parse_constant=reject)
+
+
+def raw_replies(snapshot, config, frames):
+    """Send ``frames`` (JSON values) as raw frames on one connection to a
+    front door over a fleet serving ``snapshot``; the reply bodies, in
+    arrival order."""
+
+    async def scenario(door):
+        reader, writer = await asyncio.open_connection(door.host, door.port)
+        try:
+            for frame in frames:
+                writer.write(raw_frame(json.dumps(frame).encode()))
+            await writer.drain()
+            bodies = []
+            for _ in frames:
+                header = await asyncio.wait_for(reader.readexactly(4), 5.0)
+                (length,) = struct.unpack(">I", header)
+                bodies.append(
+                    await asyncio.wait_for(reader.readexactly(length), 5.0)
+                )
+            return bodies
+        finally:
+            writer.close()
+            await writer.wait_closed()
+
+    async def serve(fleet):
+        async with FrontDoor(fleet, config) as door:
+            return await scenario(door)
+
+    with ShardFleet(COST_MODEL, config, fallback_blended_rate=P0) as fleet:
+        fleet.publish(snapshot)
+        bodies = asyncio.run(serve(fleet))
+    assert shm_segments() == []
+    return bodies
+
+
+def labelled_snapshot():
+    """A snapshot whose design tiers the empty-string label too."""
+    design = TierDesign(
+        provider_asn=64500,
+        rates={1: 30.0, 2: 15.0, 3: 7.5},
+        tier_of_destination={
+            "": 1, "10.0.0.1": 2, "10.0.1.1": 3, "10.0.2.1": 1, "caf\u00e9": 2,
+        },
+    )
+    return PricingSnapshot.build(
+        design, version=1, config_digest="regime-a", blended_rate=P0,
+        gamma=0.05, reference_distance_miles=4000.0,
+    )
+
+
+#: One of each kind of row: known, unknown, ``null`` and empty-string
+#: destinations, a regime mismatch, a profit and a cost past any
+#: ordinary size, and bad rows.
+MIXED_ROWS = [
+    {"dst": "10.0.0.1", "volume_mbps": 4.0, "distance_miles": 120.0},
+    {"dst": "caf\u00e9", "volume_mbps": 0.5},
+    {"dst": "203.0.113.7", "volume_mbps": 2.0, "distance_miles": 900.0},
+    {"dst": None, "volume_mbps": 3.0},
+    {"dst": ""},
+    {"dst": "10.0.1.1", "regime": "regime-z"},
+    {"dst": "10.0.1.1", "regime": "regime-a", "region": "metro"},
+    {"dst": "10.0.2.1", "volume_mbps": 1e308},
+    {"dst": "10.0.2.1", "distance_miles": 1e308},
+    {"dst": "10.0.0.1", "volume_mbps": -1.0},
+    "not-an-object",
+    {"dst": "10.0.0.1", "bogus": 1},
+    {"dst": 5},
+]
+
+
+class TestRepliesFromColumns:
+    """Reply frames are written as text from the shard's payload: the
+    same bytes ``json.dumps`` of the reply dict gives, and strict JSON."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(FleetConfig(shards=1, timeout_ms=5000.0), id="1-shard"),
+            pytest.param(FleetConfig(shards=2, timeout_ms=5000.0), id="2-shards"),
+            pytest.param(
+                FleetConfig(shards=2, timeout_ms=5000.0, queue_depth=8, max_batch=4),
+                id="shedding",
+            ),
+        ],
+    )
+    def test_reply_bytes_are_the_compact_json_of_the_answers(self, config):
+        snapshot = labelled_snapshot()
+        registry = SnapshotRegistry()
+        registry.adopt(snapshot)
+        engine = QuoteEngine(registry, COST_MODEL, P0)
+
+        def oracle(obj):
+            row = expected_row(obj)
+            if not isinstance(row, QuoteRequest):
+                return row  # the bad row's error
+            payload = engine.quote_columns(*request_columns([row]).as_args())
+            return quote_rows(payload, 1)[0]
+
+        shed = json.dumps(
+            quote_rows(
+                degraded_columns("shed by admission control", snapshot, P0), 1
+            )[0]
+        )
+        ids = [7, "fr\u00e4me-\u4e2d \"q\"", {"n": [1, {"k": "v\u00e9"}], "s": None}]
+        frames = {
+            json.dumps(frame_id): {"id": frame_id, "quotes": rows}
+            for frame_id, rows in zip(
+                ids, [MIXED_ROWS * 2, MIXED_ROWS[::-1] * 2, MIXED_ROWS[3:] * 3]
+            )
+        }
+        bodies = raw_replies(snapshot, config, list(frames.values()))
+        shed_rows = 0
+        for body in bodies:
+            assert body == json.dumps(
+                json.loads(body), separators=(",", ":")
+            ).encode()
+            reply = strict_json(body)
+            frame = frames.pop(json.dumps(reply["id"]))
+            assert len(reply["quotes"]) == len(frame["quotes"])
+            for answer, obj in zip(reply["quotes"], frame["quotes"]):
+                if json.dumps(answer) == shed:
+                    shed_rows += 1
+                else:
+                    assert json.dumps(answer) == json.dumps(oracle(obj))
+        assert frames == {}
+        assert (shed_rows > 0) == (config.queue_depth == 8)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,11 @@
 registry, the vectorized engine under concurrent readers, and the
 stream→registry round trip.  Serving over sockets is ``test_fleet.py``."""
 
+import json
+import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from repro.errors import (
     DataError,
     SnapshotUnavailableError,
 )
+from repro.obs import METRICS
 from repro.serve import (
     PricingSnapshot,
     QuoteEngine,
@@ -28,6 +32,12 @@ from repro.serve import (
     SnapshotRegistry,
     UNKNOWN_TIER,
     generate_requests,
+)
+from repro.serve.engine import (
+    COST_OUT_OF_RANGE,
+    quote_rows,
+    quote_texts,
+    request_columns,
 )
 from repro.stream import (
     DemandShift,
@@ -364,6 +374,51 @@ class TestQuoteEngine:
         request = QuoteRequest(dst="caf\u00e9", regime="r\u00e9gime")
         assert request.dst == "caf\u00e9" and request.regime == "r\u00e9gime"
 
+    def test_a_quote_with_no_destination_is_unknown(self):
+        """``dst=None`` is no label, not the empty string: against a design
+        that tiers ``""``, it is unknown at the blended rate."""
+        design = TierDesign(
+            provider_asn=64500,
+            rates={1: 30.0, 2: 15.0},
+            tier_of_destination={"": 1, "10.0.0.1": 2},
+        )
+        registry = SnapshotRegistry()
+        registry.publish(design, config_digest="r", blended_rate=P0, gamma=1.0)
+        engine = QuoteEngine(registry, COST_MODEL, P0)
+        anonymous, empty = engine.quote_batch(
+            [QuoteRequest(dst=None), QuoteRequest(dst="")]
+        )
+        assert (anonymous.known, anonymous.tier, anonymous.unit_price) == (
+            False, None, P0
+        )
+        assert not anonymous.degraded
+        assert (empty.known, empty.tier, empty.unit_price) == (True, 1, 30.0)
+
+    def test_a_cost_out_of_range_degrades_alone(self, registry, engine):
+        """A volume of 1e308 overflows the profit: the row degrades on its
+        own reason, counted in ``serve.degraded``, with no numpy warning,
+        and its neighbours keep the answers they get alone."""
+        publish(registry)
+        requests = [
+            QuoteRequest(dst="10.0.0.1", volume_mbps=4.0, distance_miles=20.0),
+            QuoteRequest(dst="10.0.1.1", volume_mbps=1e308, distance_miles=20.0),
+            QuoteRequest(dst="10.0.2.1", volume_mbps=2.0, distance_miles=1e308),
+            QuoteRequest(dst="203.0.113.9", volume_mbps=1e308),
+        ]
+        before = METRICS.counter("serve.degraded")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            quotes = engine.quote_batch(requests)
+        assert METRICS.counter("serve.degraded") - before == 2
+        for i in (1, 3):
+            assert quotes[i].degraded and quotes[i].reason == COST_OUT_OF_RANGE
+            assert quotes[i].unit_price == P0 and quotes[i].unit_cost is None
+        for i in (0, 2):
+            assert not quotes[i].degraded
+            assert quotes[i] == engine.quote(requests[i])
+        # A distance of 1e308 costs a huge but finite amount: priced.
+        assert np.isfinite(quotes[2].unit_cost) and quotes[2].unit_cost > 1e300
+
     def test_splitting_cost_model_rejected(self, registry):
         from repro.core.cost import DestinationTypeCost
 
@@ -400,6 +455,15 @@ quote_requests = st.builds(
     regime=st.sampled_from([None, "regime-a", "regime-z"]),
 )
 
+#: Requests whose cost or profit overflows a float (or comes close).
+huge_requests = st.builds(
+    QuoteRequest,
+    dst=st.sampled_from(["10.0.0.1", "203.0.113.9", None]),
+    volume_mbps=st.sampled_from([1.0, 1e308, sys.float_info.max]),
+    distance_miles=st.sampled_from([1.0, 1e308, sys.float_info.max]),
+    region=st.sampled_from((None, "metro")),
+)
+
 
 class TestBatchIndependence:
     """A quote is the same whatever else shares its batch."""
@@ -410,7 +474,7 @@ class TestBatchIndependence:
         ids=["regional", "linear"],
     )
     @settings(deadline=None, max_examples=60)
-    @given(batch=st.lists(quote_requests, min_size=1, max_size=12))
+    @given(batch=st.lists(quote_requests | huge_requests, min_size=1, max_size=12))
     def test_each_row_quotes_as_if_alone(self, cost_model, batch):
         engine = QuoteEngine(regime_a_registry(cost_model), cost_model, P0)
         quotes = engine.quote_batch(batch)
@@ -428,6 +492,97 @@ class TestBatchIndependence:
         assert international.unit_cost == pytest.approx(
             alone.unit_cost * 3.0**0.5
         )
+
+
+# ----------------------------------------------------------------------
+# Answers as text: the encoder and the contract it relies on
+# ----------------------------------------------------------------------
+
+#: Finite floats, with the ones whose spelling is easiest to get wrong:
+#: signed zeros, the smallest subnormal, where ``repr`` switches to
+#: exponent form, and the largest float.
+edge_floats = st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e16, 1e22, 1e-5, 0.1, sys.float_info.max,
+     -sys.float_info.max]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+#: Text with quotes, backslashes, control and non-ASCII characters.
+awkward_text = st.text(
+    st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f/é中\u2028😀') | st.characters(),
+    max_size=12,
+)
+
+
+@st.composite
+def contract_payloads(draw):
+    """``(payload, n)``: a ``quote_columns`` payload inside its contract
+    (each row's price is its tier's rate, every row without a reason has
+    finite floats), or a ``degraded_columns`` one."""
+    version = draw(st.none() | st.integers(0, 2**63))
+    digest = draw(st.none() | awkward_text)
+    blended = draw(edge_floats)
+    n = draw(st.integers(1, 24))
+    if draw(st.booleans()) and draw(st.booleans()):
+        payload = {"degraded": True, "reason": draw(awkward_text),
+                   "blended": blended, "version": version, "digest": digest}
+        return payload, n
+    rates = [blended] + draw(st.lists(edge_floats, min_size=1, max_size=6))
+    tiers = np.array(draw(st.lists(st.integers(0, len(rates) - 1),
+                                   min_size=n, max_size=n)))
+    unit_costs = np.array(draw(st.lists(edge_floats, min_size=n, max_size=n)))
+    profits = np.array(draw(st.lists(edge_floats, min_size=n, max_size=n)))
+    reasons = draw(st.dictionaries(st.integers(0, n - 1), awkward_text))
+    for i in reasons:  # as quote_columns leaves a degraded row's floats
+        unit_costs[i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        profits[i] = np.nan
+    payload = {
+        "degraded": False, "prices": np.array(rates)[tiers], "tiers": tiers,
+        "unit_costs": unit_costs, "profits": profits, "blended": blended,
+        "version": version, "digest": digest, "reasons": reasons or None,
+    }
+    return payload, n
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestQuoteTexts:
+    @settings(deadline=None, max_examples=300)
+    @given(case=contract_payloads())
+    def test_texts_are_the_compact_json_of_the_rows(self, case):
+        payload, n = case
+        assert quote_texts(payload, n) == [
+            json.dumps(row, separators=(",", ":"))
+            for row in quote_rows(payload, n)
+        ]
+
+    @pytest.mark.parametrize(
+        "cost_model",
+        [RegionalCost(theta=0.5), LinearDistanceCost(theta=0.2)],
+        ids=["regional", "linear"],
+    )
+    @settings(deadline=None, max_examples=60)
+    @given(batch=st.lists(quote_requests | huge_requests, min_size=1, max_size=16))
+    def test_quote_columns_keeps_the_contract(self, cost_model, batch):
+        """Each row's price is its tier's rate, and every row without a
+        reason has finite floats, so its text is strict JSON."""
+        registry = regime_a_registry(cost_model)
+        snapshot = registry.current()
+        engine = QuoteEngine(registry, cost_model, P0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            payload = engine.quote_columns(*request_columns(batch).as_args())
+        assert np.array_equal(
+            payload["prices"], snapshot.prices_for_tiers(payload["tiers"])
+        )
+        reasons = payload["reasons"] or {}
+        for i in range(len(batch)):
+            if i not in reasons:
+                assert np.isfinite(payload["unit_costs"][i])
+                assert np.isfinite(payload["profits"][i])
+        for text in quote_texts(payload, len(batch)):
+            json.loads(text, parse_constant=reject_constant)
 
 
 # ----------------------------------------------------------------------
