@@ -6,8 +6,12 @@ backends.  The tracked ``benchmarks/output/bench_executor.baseline.json``
 and text hold what repeats on every machine (the sweep, the backends,
 the speedup bar); each backend's wall time is a
 ``bench.executor.<backend>`` stage in the untracked
-``bench_executor.metrics.json``, beside the run's ``cpu_count`` and
-speedups over serial.
+``bench_executor.metrics.json``, beside the run's ``cpu_count``, the
+speedups over serial, and each backend's wall time per spec and its
+overhead over serial per spec, in ms (``ms_per_spec``,
+``overhead_ms_per_spec``; negative where a backend gains).  Below the
+cores the speedup bar needs, the overhead is the figure to read: the
+start-up and wire cost a parallel backend pays per spec.
 
 Byte-identity across backends is asserted unconditionally.  The >= 2x
 speedup assertion for pool and socket only arms on machines with enough
@@ -83,6 +87,14 @@ def test_executor_backends(run_once, save_output):
         "in bench_executor.metrics.json)",
         cpu_count=cores,
         speedups=speedups,
+        ms_per_spec={
+            backend: round(1000.0 * s / N_SPECS, 3)
+            for backend, s in seconds.items()
+        },
+        overhead_ms_per_spec={
+            backend: round(1000.0 * (s - seconds["serial"]) / N_SPECS, 3)
+            for backend, s in seconds.items()
+        },
     )
     OUTPUT_DIR.mkdir(exist_ok=True)
     (OUTPUT_DIR / "bench_executor.baseline.json").write_text(

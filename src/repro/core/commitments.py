@@ -36,7 +36,6 @@ from collections.abc import Sequence
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from repro.errors import ModelParameterError, OptimizationError
 
@@ -210,6 +209,8 @@ class CommitMarket:
         start = np.log(
             base_price * np.linspace(1.2, 0.9, len(commits))
         )
+        from scipy import optimize
+
         result = optimize.minimize(
             objective,
             start,

@@ -33,8 +33,8 @@ import dataclasses
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp, wrightomega
 
+from repro.core import logit
 from repro.core.demand import validate_arrays
 from repro.errors import ModelParameterError, OptimizationError
 
@@ -127,7 +127,7 @@ class LogitCompetition:
     def shares(self, prices: "dict[str, np.ndarray]") -> "dict[str, np.ndarray]":
         """Per-firm per-flow market shares at the given prices."""
         x = self._utilities(prices)
-        log_z = logsumexp(np.concatenate((x.ravel(), [0.0])))
+        log_z = logit.logsumexp(np.concatenate((x.ravel(), [0.0])))
         shares = np.exp(x - log_z)
         return {
             firm.name: shares[row] for row, firm in enumerate(self.firms)
@@ -135,7 +135,7 @@ class LogitCompetition:
 
     def outside_share(self, prices: "dict[str, np.ndarray]") -> float:
         x = self._utilities(prices)
-        return float(np.exp(-logsumexp(np.concatenate((x.ravel(), [0.0])))))
+        return float(np.exp(-logit.logsumexp(np.concatenate((x.ravel(), [0.0])))))
 
     def profit(self, firm_name: str, prices: "dict[str, np.ndarray]") -> float:
         """A firm's per-consumer profit at the given price profile."""
@@ -167,7 +167,7 @@ class LogitCompetition:
         ]
         if rival_rows:
             log_d = float(
-                logsumexp(np.concatenate([row for row in rival_rows] + [[0.0]]))
+                logit.logsumexp(np.concatenate([row for row in rival_rows] + [[0.0]]))
             )
         else:
             log_d = 0.0
@@ -177,7 +177,7 @@ class LogitCompetition:
         # per-flow-priced one at the same markup.
         base = self.alpha * (self.valuations + firm.quality)
         if firm.bundles is None:
-            log_a = float(logsumexp(base - self.alpha * firm.costs))
+            log_a = float(logit.logsumexp(base - self.alpha * firm.costs))
             effective_costs = firm.costs
         else:
             bundle_logs = []
@@ -190,10 +190,11 @@ class LogitCompetition:
                 )
                 effective_costs[idx] = bundle_cost
                 bundle_logs.append(
-                    float(logsumexp(base[idx])) - self.alpha * bundle_cost
+                    float(logit.logsumexp(base[idx])) - self.alpha * bundle_cost
                 )
-            log_a = float(logsumexp(np.asarray(bundle_logs)))
-        markup = (1.0 + float(np.real(wrightomega(log_a - log_d - 1.0)))) / self.alpha
+            log_a = float(logit.logsumexp(np.asarray(bundle_logs)))
+        omega = float(np.real(logit.wrightomega(log_a - log_d - 1.0)))
+        markup = (1.0 + omega) / self.alpha
         if not np.isfinite(markup) or markup <= 0:
             raise OptimizationError(
                 f"best response for {firm_name!r} produced markup {markup}"

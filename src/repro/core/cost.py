@@ -33,7 +33,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.flow import (
     FlowSet,
@@ -530,6 +529,8 @@ def fit_concave_price_curve(
 
     def model(xs: np.ndarray, k: float, c: float) -> np.ndarray:
         return k * np.log(xs) + c
+
+    from scipy import optimize
 
     (k, c), _ = optimize.curve_fit(model, x, y, p0=(0.1, 1.0))
     residual = float(np.sqrt(np.mean((model(x, k, c) - y) ** 2)))

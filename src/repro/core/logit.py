@@ -40,7 +40,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp, wrightomega
 
 from repro.core.demand import (
     BundleObjective,
@@ -49,6 +48,29 @@ from repro.core.demand import (
     validate_positive,
 )
 from repro.errors import CalibrationError, ModelParameterError, OptimizationError
+
+
+# scipy.special's two functions, bound on first call: only the logit math
+# (here and in :mod:`repro.core.competition`) needs scipy, and importing
+# it costs more start-up time and memory than the rest of :mod:`repro`.
+# Each stub replaces itself with scipy's function, so later calls through
+# this module's globals go straight to scipy.
+
+
+def logsumexp(a: np.ndarray) -> float:
+    """:func:`scipy.special.logsumexp`, imported on first call."""
+    global logsumexp
+    from scipy.special import logsumexp
+
+    return logsumexp(a)
+
+
+def wrightomega(z: float) -> complex:
+    """:func:`scipy.special.wrightomega`, imported on first call."""
+    global wrightomega
+    from scipy.special import wrightomega
+
+    return wrightomega(z)
 
 
 class LogitDemand(DemandModel):
@@ -123,15 +145,22 @@ class LogitDemand(DemandModel):
         f = np.asarray(relative_costs, dtype=float)
         if np.any(f <= 0):
             raise CalibrationError("relative costs must be positive to fit gamma")
-        r = np.exp(self.alpha * (v - p0))
-        big_e = float(r.sum())
+        x = self.alpha * (v - p0)
+        with np.errstate(over="ignore"):  # an infinite E fails the margin
+            r = np.exp(x)
+            big_e = float(r.sum())
         margin = self.alpha * p0 - 1.0 - big_e
         if margin <= 0:
+            # s0 = 1/(1 + E) from log(1 + E), as a Decimal: past exp's
+            # range E is inf and s0 smaller than the least float.
+            from decimal import Decimal
+
+            s0 = Decimal(-float(logsumexp(np.append(x, 0.0)))).exp()
             raise CalibrationError(
                 "blended rate is inconsistent with profit maximization under "
                 f"logit demand: need alpha * P0 * s0 > 1, got "
-                f"alpha={self.alpha}, P0={p0}, implied s0={1 / (1 + big_e):.4g} "
-                f"(alpha*P0*s0={self.alpha * p0 / (1 + big_e):.4g})"
+                f"alpha={self.alpha}, P0={p0}, implied s0={s0:.4g} "
+                f"(alpha*P0*s0={Decimal(self.alpha * p0) * s0:.4g})"
             )
         gamma = big_e * margin / (self.alpha * float(np.sum(f * r)))
         if gamma <= 0 or not np.isfinite(gamma):

@@ -13,9 +13,11 @@ are correlated by ``id``) with::
 
 ``{"id": N, "op": "stats"}`` returns the fleet's operational snapshot.
 A frame that is JSON but not a quote or stats request gets an
-``{"id": ..., "error": ...}`` reply, and a quote with a bad field gets
-its own ``{"error": ...}`` entry; a frame too large to be honest, or a
-body that is not JSON, closes the connection (``fleet.bad_frames``).
+``{"id": ..., "error": ...}`` reply, as does (with ``"id": null``) a
+frame whose id holds ``NaN`` or ``Infinity``, which strict JSON has
+not; a quote with a bad field gets its own ``{"error": ...}`` entry; a
+frame too large to be honest, or a body that is not JSON, closes the
+connection (``fleet.bad_frames``).
 
 Inside, the front door is columnar from the socket to the shard and
 back.  One pass over a frame's ``quotes`` checks each row and appends it
@@ -298,8 +300,16 @@ class FrontDoor:
         write_lock: asyncio.Lock,
     ) -> None:
         frame_id = frame.get("id") if isinstance(frame, dict) else None
+        try:
+            # json.loads reads NaN and Infinity, which strict JSON has not.
+            id_text = json.dumps(frame_id, separators=(",", ":"), allow_nan=False)
+        except ValueError:
+            id_text = None
         if not isinstance(frame, dict):
             reply = {"id": None, "error": "frame must be a JSON object"}
+        elif id_text is None:
+            METRICS.incr("fleet.bad_frames")
+            reply = {"id": None, "error": "frame id holds NaN or Infinity"}
         elif frame.get("op") == "stats":
             stats = dict(self.fleet.stats())
             stats["shed"] = self.shed
@@ -310,8 +320,15 @@ class FrontDoor:
                 ).items()
             }
             reply = {"id": frame_id, "stats": stats}
+        elif not isinstance(frame.get("quotes"), list) or not frame["quotes"]:
+            METRICS.incr("fleet.bad_frames")
+            reply = {
+                "id": frame_id,
+                "error": "frame needs a non-empty 'quotes' array "
+                "(or 'op': 'stats')",
+            }
         else:
-            reply = await self._serve_quotes(frame_id, frame)
+            reply = await self._serve_quotes(id_text, frame["quotes"])
         async with write_lock:
             writer.write(encode_frame(reply))
             try:
@@ -319,16 +336,9 @@ class FrontDoor:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass  # client went away; nothing left to route to
 
-    async def _serve_quotes(self, frame_id, frame: dict):
-        """A quote frame's reply: its JSON text, or an error dict."""
-        raw = frame.get("quotes")
-        if not isinstance(raw, list) or not raw:
-            METRICS.incr("fleet.bad_frames")
-            return {
-                "id": frame_id,
-                "error": "frame needs a non-empty 'quotes' array "
-                "(or 'op': 'stats')",
-            }
+    async def _serve_quotes(self, id_text: str, raw: list) -> str:
+        """The reply text of a frame whose id's JSON is ``id_text`` and
+        whose quotes are ``raw``."""
         answers, slices, bad = _parse_quotes(
             raw, self.fleet.n_shards, asyncio.get_running_loop().create_future
         )
@@ -340,7 +350,7 @@ class FrontDoor:
             self._admit(sid, piece)
         for piece in slices.values():
             await piece.future
-        return f'{{"id":{_compact(frame_id)},"quotes":[{",".join(answers)}]}}'
+        return f'{{"id":{id_text},"quotes":[{",".join(answers)}]}}'
 
     # ------------------------------------------------------------------
     # Admission queues and shard dispatch

@@ -177,8 +177,8 @@ class ShardFleet:
         self.cost_model = cost_model
         self.fallback_blended_rate = float(fallback_blended_rate)
         methods = multiprocessing.get_all_start_methods()
-        # fork: workers inherit the already-imported numpy/scipy stack
-        # instead of re-importing it per respawn.
+        # fork: workers inherit the already-imported numpy stack instead
+        # of re-importing it per respawn.
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )

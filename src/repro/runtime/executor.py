@@ -351,8 +351,8 @@ class PoolExecutor(Executor):
 # SocketExecutor: work-stealing coordinator + pull-based workers
 # ----------------------------------------------------------------------
 
-# fork (where available): workers inherit the already-imported
-# numpy/scipy stack instead of re-importing it per process.
+# fork (where available): workers inherit the already-imported numpy
+# stack instead of re-importing it per process.
 _MP_CONTEXT = multiprocessing.get_context(
     "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 )

@@ -20,7 +20,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from repro.errors import DataError
 
@@ -125,6 +124,8 @@ def calibrate_positive(
                 f"(achievable range is about [{cv_of(lo):.4g}, {cv_of(hi):.4g}]); "
                 "provide a sample with more weight off its maximum"
             )
+        from scipy import optimize
+
         lam = optimize.brentq(lambda L: cv_of(L) - cv_target, lo, hi, xtol=1e-12)
         calibrated = transformed(lam)
     scale = mean_target / weighted_mean(calibrated, weights)

@@ -6,14 +6,16 @@ provides the distance computations the paper's §4.1.1 heuristics need:
 * entry-to-exit great-circle distance (EU ISP heuristic);
 * shortest routed path with distance as the sum of traversed link lengths
   (Internet2 heuristic).
+
+:mod:`networkx` is imported by the methods that use it, so importing
+:mod:`repro` (whose NetFlow to quote chain builds no topology) does not
+load it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from typing import Optional
-
-import networkx as nx
 
 from repro.errors import TopologyError
 from repro.geo.coords import City
@@ -30,6 +32,8 @@ class Topology:
     def __init__(self, name: str) -> None:
         if not name:
             raise TopologyError("topology name must be non-empty")
+        import networkx as nx
+
         self.name = name
         self._graph = nx.Graph()
         self._pops: dict = {}
@@ -102,6 +106,8 @@ class Topology:
     # ------------------------------------------------------------------
 
     def is_connected(self) -> bool:
+        import networkx as nx
+
         return len(self) > 0 and nx.is_connected(self._graph)
 
     def geographic_distance(self, a: str, b: str) -> float:
@@ -110,6 +116,8 @@ class Topology:
 
     def shortest_path(self, a: str, b: str) -> "list[str]":
         """Shortest route by summed link length."""
+        import networkx as nx
+
         self.pop(a)
         self.pop(b)
         try:
@@ -121,6 +129,8 @@ class Topology:
 
     def routed_distance(self, a: str, b: str) -> float:
         """Summed link length along the shortest route (Internet2 heuristic)."""
+        import networkx as nx
+
         self.pop(a)
         self.pop(b)
         try:
@@ -143,6 +153,8 @@ class Topology:
 
     def diameter_miles(self) -> float:
         """Longest shortest-route distance between any PoP pair."""
+        import networkx as nx
+
         if not self.is_connected():
             raise TopologyError(f"{self.name} is not connected")
         return float(

@@ -1654,6 +1654,30 @@ class TestRepliesFromColumns:
         assert frames == {}
         assert (shed_rows > 0) == (config.queue_depth == 8)
 
+    def test_a_frame_id_holding_nan_or_infinity_gets_a_strict_error(self):
+        # json.loads reads these constants, so the id cannot be echoed:
+        # the frame is a bad frame and the connection stays open.
+        snapshot = labelled_snapshot()
+        frames = [
+            {"id": float("nan"), "quotes": [{"dst": "10.0.0.1"}]},
+            {"id": float("-inf"), "op": "stats"},
+            {"id": {"a": [float("inf")]}, "quotes": MIXED_ROWS},
+            {"id": 8, "quotes": [{"dst": "10.0.0.1"}]},
+        ]
+        before = METRICS.counter("fleet.bad_frames")
+        bodies = raw_replies(
+            snapshot, FleetConfig(shards=1, timeout_ms=5000.0), frames
+        )
+        assert METRICS.counter("fleet.bad_frames") == before + 3
+        replies = sorted(
+            (strict_json(body) for body in bodies), key=lambda r: r["id"] or 0
+        )
+        assert replies[:3] == [
+            {"id": None, "error": "frame id holds NaN or Infinity"}
+        ] * 3
+        assert replies[3]["id"] == 8
+        assert replies[3]["quotes"][0]["tier"] == 2
+
 
 # ----------------------------------------------------------------------
 # Fleet end to end: stream publication -> cutover under live load

@@ -1,5 +1,7 @@
 """Tests for logit demand (paper §3.2.2)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,21 @@ class TestCalibration:
     def test_fit_valuations_rejects_nonpositive_demand(self, model):
         with pytest.raises(CalibrationError):
             model.fit_valuations(np.array([1.0, 0.0]), 10.0)
+
+    @pytest.mark.parametrize(
+        "alpha, v, s0",
+        [
+            (5.0, [500.0, 300.0, 10.0], "4.935e-1043"),  # exp overflows
+            (1.0, [729.0, 729.0, 729.0], "4.056e-309"),  # only the sum does
+        ],
+    )
+    def test_gamma_past_exps_range_fails_without_a_warning(self, alpha, v, s0):
+        # E = sum(exp(alpha (v - P0))) is past a float's range: the error
+        # names the true s0 = 1/(1 + E), and numpy warns of no overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CalibrationError, match=f"implied s0={s0} "):
+                LogitDemand(alpha=alpha).fit_gamma(np.array(v), np.ones(3), 20.0)
 
     def test_gamma_rejects_nonpositive_relative_costs(self, model, calibrated):
         with pytest.raises(CalibrationError):
