@@ -1,11 +1,15 @@
 """Binary NetFlow v5 export encoding/decoding.
 
 The encoder takes :class:`~repro.netflow.records.NetFlowRecord` objects;
-the decoder reads each packet straight into a
-:class:`~repro.netflow.records.RecordBatch` with one ``np.frombuffer``
-over a big-endian record dtype, so traces can be written to and read from
-real ``.nf5`` capture files and the pipeline can ingest exports produced
-by other tools without building an object per record.
+the decoder checks each packet with one ``np.frombuffer`` over a
+big-endian record dtype and returns a wire-held
+:class:`~repro.netflow.records.RecordBatch`: the packet's validated
+records stay the bytes they arrived in until a column is read, and
+:meth:`~repro.netflow.records.RecordBatch.concat` casts the columns of
+many packets at once (a stream's queue drain, :func:`decode_packets`).
+So traces can be written to and read from real ``.nf5`` capture files,
+and the pipeline can ingest exports produced by other tools without
+building an object per record or a column per packet.
 
 Layout (all fields big-endian, per Cisco's NetFlow v5 specification):
 
@@ -45,6 +49,8 @@ MAX_RECORDS_PER_PACKET = 30
 _HEADER = struct.Struct(">HHIIIIBBH")
 _RECORD = struct.Struct(">IIIHHIIIIHHBBBBHHBBH")
 #: The same 48-byte record as a numpy dtype, for whole-packet decoding.
+#: Its field names are the :class:`RecordBatch` column names, which a
+#: wire-held batch reads its rows by.
 _RECORD_DTYPE = np.dtype(
     [
         ("src", ">u4"),
@@ -193,6 +199,11 @@ def encode_packet(
 def decode_packet(data: bytes, engines: EngineMap) -> RecordBatch:
     """Decode one v5 packet into a batch of its records.
 
+    The batch holds the packet's validated records as the wire rows they
+    arrived in (:meth:`RecordBatch.from_wire`), with a view of ``data``
+    when it is ``bytes`` and a copy of any other buffer, which its
+    caller may refill.
+
     Raises:
         DataError: On a short packet, a wrong version, a length that does
             not match the header count, an unknown engine, or a record
@@ -225,35 +236,19 @@ def decode_packet(data: bytes, engines: EngineMap) -> RecordBatch:
     engine = (engine_type << 8) | engine_id
     engines.router(engine)  # an unknown engine raises
 
-    wire = np.frombuffer(data, _RECORD_DTYPE, count, _HEADER.size)
-    first = wire["first_ms"].astype(np.int64)
-    last = wire["last_ms"].astype(np.int64)
-    octets = wire["octets"].astype(np.int64)
-    packets = wire["packets"].astype(np.int64)
+    if not isinstance(data, bytes):
+        data = bytes(data)
+    rows = np.frombuffer(data, _RECORD_DTYPE, count, _HEADER.size)
+    first, last = rows["first_ms"], rows["last_ms"]
     backwards = np.flatnonzero(last < first)
     if backwards.size:
         row = backwards[0]
         raise DataError(
             f"record ends ({last[row]}) before it starts ({first[row]})"
         )
-    if ((packets > 0) & (octets == 0)).any():
+    if ((rows["packets"] > 0) & (rows["octets"] == 0)).any():
         raise DataError("a record with packets must carry octets")
-    return RecordBatch(
-        engines.names,
-        src=wire["src"].astype(np.uint32),
-        dst=wire["dst"].astype(np.uint32),
-        src_port=wire["src_port"].astype(np.uint16),
-        dst_port=wire["dst_port"].astype(np.uint16),
-        protocol=wire["protocol"].copy(),
-        octets=octets,
-        packets=packets,
-        first_ms=first,
-        last_ms=last,
-        router=np.full(count, engine, np.int32),
-        input_if=wire["input_if"].astype(np.int64),
-        output_if=wire["output_if"].astype(np.int64),
-        interval=np.full(count, interval, np.int64),
-    )
+    return RecordBatch.from_wire(engines.names, rows, engine, interval)
 
 
 def encode_packets(
@@ -283,7 +278,8 @@ def encode_packets(
 
 
 def decode_packets(packets: Iterable[bytes], engines: EngineMap) -> RecordBatch:
-    """Decode a sequence of v5 packets into one batch, in packet order."""
+    """Decode a sequence of v5 packets into one batch, in packet order,
+    casting each column once for all of them."""
     return RecordBatch.concat(
         [decode_packet(packet, engines) for packet in packets], engines.names
     )

@@ -151,12 +151,9 @@ class FlowCollector:
         """All buffered records, in deterministic (time, key, router) order."""
         return self.batch.sorted().to_records()
 
-    def drain_batch(self, older_than_ms: "int | None" = None) -> RecordBatch:
-        """Remove and return buffered records, in arrival order.
-
-        Args:
-            older_than_ms: Only records whose ``last_ms`` is strictly below
-                this cutoff are evicted; ``None`` drains everything.
+    def evict(self, older_than_ms: int) -> None:
+        """Drop buffered records whose ``last_ms`` is strictly below
+        ``older_than_ms``, building only the rows kept.
 
         The streaming windower calls this after closing a window so the
         collector does not grow without bound over an unbounded record
@@ -164,12 +161,22 @@ class FlowCollector:
         stays a cumulative ingest count.
         """
         batch = self.batch
+        self._parts = [batch.take(batch.last_ms >= older_than_ms)]
+
+    def drain_batch(self, older_than_ms: "int | None" = None) -> RecordBatch:
+        """Remove and return buffered records, in arrival order.
+
+        Args:
+            older_than_ms: Only records whose ``last_ms`` is strictly below
+                this cutoff are removed (see :meth:`evict`); ``None``
+                drains everything.
+        """
+        batch = self.batch
         if older_than_ms is None:
             self._parts = []
             return batch
-        old = batch.last_ms < older_than_ms
-        self._parts = [batch.take(~old)]
-        return batch.take(old)
+        self.evict(older_than_ms)
+        return batch.take(batch.last_ms < older_than_ms)
 
     def drain(self, older_than_ms: "int | None" = None) -> "list[NetFlowRecord]":
         """:meth:`drain_batch` as records, sorted by ``(last_ms,

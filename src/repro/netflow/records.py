@@ -8,13 +8,16 @@ to true volumes.
 
 :class:`RecordBatch` holds many records as struct-of-arrays columns.  The
 wire decoder, the stream and the collector work on batches; record
-objects are built only when a caller asks for them.
+objects are built only when a caller asks for them.  A batch from the
+wire decoder holds its packet's rows as they arrived until a column is
+read, so a queue drain casts each column once for all of its packets.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import ipaddress
+import itertools
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -146,6 +149,37 @@ def _dotted_column(values: np.ndarray) -> "list[str]":
     return [text[i] for i in inverse.tolist()]
 
 
+def _recoding(routers: "tuple[str, ...]", table: "tuple[str, ...]"):
+    """``None`` when ``routers`` equals ``table``; otherwise each of
+    its codes as a code into ``table``."""
+    if routers is table or routers == table:
+        return None
+    position = {name: i for i, name in enumerate(table)}
+    return np.array([position[name] for name in routers], np.int32)
+
+
+def _wire_columns(batches: "Sequence[RecordBatch]", table: "tuple[str, ...]") -> dict:
+    """The columns of wire-held batches' rows, in order, with router
+    codes into ``table``: one join of the rows' bytes, one ``frombuffer``
+    and one cast per column."""
+    held = [b._wire for b in batches]
+    if len(held) == 1:
+        rows = held[0][0]
+    else:
+        rows = np.frombuffer(b"".join([h[0] for h in held]), held[0][0].dtype)
+    counts = np.array([len(h[0]) for h in held])
+    codes = [h[1] for h in held]
+    for i, b in enumerate(batches):
+        if b.routers is not table:
+            recode = _recoding(b.routers, table)
+            if recode is not None:
+                codes[i] = recode[codes[i]]
+    columns = {name: rows[name].astype(_COLUMNS[name]) for name in _ROW_COLUMNS}
+    columns["router"] = np.repeat(np.array(codes, np.int32), counts)
+    columns["interval"] = np.repeat(np.array([h[2] for h in held], np.int64), counts)
+    return columns
+
+
 def _string_order(addresses: np.ndarray) -> np.ndarray:
     """A ``uint32`` sort key ordering addresses as their dotted strings."""
     rank = _OCTET_RANK
@@ -173,6 +207,9 @@ _COLUMNS = {
     "output_if": np.int64,
     "interval": np.int64,
 }
+#: The columns a wire-held batch reads from its rows; its packet gives
+#: ``router`` and ``interval`` once for all of them.
+_ROW_COLUMNS = tuple(name for name in _COLUMNS if name not in ("router", "interval"))
 
 
 class RecordBatch:
@@ -184,20 +221,58 @@ class RecordBatch:
     name table.  Rows keep arrival order; :meth:`sorted` gives the
     deterministic record order.
 
-    The constructor trusts its columns: batches come from
-    :meth:`from_records`, :func:`~repro.netflow.codec.decode_packet`, or
-    another batch (:meth:`take`, :meth:`concat`).
+    A batch from :func:`~repro.netflow.codec.decode_packet` is *wire-held*
+    (:meth:`from_wire`): it keeps its packet's validated rows as they
+    arrived and builds its columns, with the dtypes above, when one is
+    first read.  ``len()``, :meth:`take` and :meth:`last_ms_bounds` read
+    the rows without building columns, and :meth:`concat` builds the
+    columns of consecutive wire-held batches together: one join of their
+    bytes and one cast per column.
+
+    The constructor trusts its columns and :meth:`from_wire` its rows:
+    batches come from :meth:`from_records`,
+    :func:`~repro.netflow.codec.decode_packet`, or another batch
+    (:meth:`take`, :meth:`concat`).
     """
 
-    __slots__ = (*_COLUMNS, "routers")
+    __slots__ = (*_COLUMNS, "routers", "_wire")
 
     def __init__(self, routers: "tuple[str, ...]", **columns: np.ndarray) -> None:
         self.routers = routers
+        self._wire = None
         for name in _COLUMNS:
             setattr(self, name, columns[name])
 
+    @classmethod
+    def from_wire(
+        cls, routers: "tuple[str, ...]", rows: np.ndarray, router: int, interval: int
+    ) -> "RecordBatch":
+        """A batch holding one packet's rows until a column is read.
+
+        ``rows`` is a C-contiguous structured array with a field named
+        after each column but ``router`` and ``interval``, which the
+        packet gives once: ``router`` as a code into ``routers``, and
+        the sampling ``interval``.  The batch keeps ``rows`` as they
+        are, so their buffer must not change while it holds them.
+        """
+        batch = object.__new__(cls)
+        batch.routers = routers
+        batch._wire = (rows, router, interval)
+        return batch
+
+    def __getattr__(self, name: str):
+        # Reached only for a column slot still unset: a wire-held batch
+        # builds its columns on the first read.
+        if name not in _COLUMNS or self._wire is None:
+            raise AttributeError(name)
+        for column, values in _wire_columns([self], self.routers).items():
+            setattr(self, column, values)
+        self._wire = None
+        return getattr(self, name)
+
     def __len__(self) -> int:
-        return len(self.last_ms)
+        wire = self._wire
+        return len(self.last_ms if wire is None else wire[0])
 
     def __repr__(self) -> str:
         return f"RecordBatch({len(self)} records)"
@@ -266,27 +341,44 @@ class RecordBatch:
             return cls.empty(routers)
         if len(batches) == 1:
             return batches[0]
-        first = batches[0].routers
-        codes = [b.router for b in batches]
-        if any(b.routers is not first and b.routers != first for b in batches):
-            first = tuple(dict.fromkeys(n for b in batches for n in b.routers))
-            position = {name: i for i, name in enumerate(first)}
-            codes = [
-                np.array([position[n] for n in b.routers], np.int32)[b.router]
-                for b in batches
-            ]
-        columns = {
-            name: np.concatenate([getattr(b, name) for b in batches])
-            for name in _COLUMNS
-            if name != "router"
-        }
-        return cls(first, router=np.concatenate(codes), **columns)
+        table = batches[0].routers
+        if any(b.routers is not table and b.routers != table for b in batches):
+            table = tuple(dict.fromkeys(n for b in batches for n in b.routers))
+        parts = []
+        for wired, run in itertools.groupby(batches, lambda b: b._wire is not None):
+            if wired:
+                parts.append(_wire_columns(list(run), table))
+                continue
+            for b in run:
+                columns = {name: getattr(b, name) for name in _COLUMNS}
+                recode = _recoding(b.routers, table)
+                if recode is not None:
+                    columns["router"] = recode[b.router]
+                parts.append(columns)
+        if len(parts) == 1:
+            return cls(table, **parts[0])
+        return cls(
+            table,
+            **{name: np.concatenate([p[name] for p in parts]) for name in _COLUMNS},
+        )
 
     def take(self, rows) -> "RecordBatch":
-        """The rows ``rows`` selects (a slice, mask or index array)."""
+        """The rows ``rows`` selects (a slice, mask or index array); a
+        wire-held batch gives a wire-held batch."""
+        wire = self._wire
+        if wire is not None:
+            held = np.ascontiguousarray(wire[0][rows])
+            return RecordBatch.from_wire(self.routers, held, wire[1], wire[2])
         return RecordBatch(
             self.routers, **{name: getattr(self, name)[rows] for name in _COLUMNS}
         )
+
+    def last_ms_bounds(self) -> "tuple[int, int]":
+        """The first row's ``last_ms`` and the largest ``last_ms``, read
+        without building a wire-held batch's columns."""
+        wire = self._wire
+        last = self.last_ms if wire is None else wire[0]["last_ms"]
+        return int(last[0]), int(last.max())
 
     # ------------------------------------------------------------------
     # Derived columns

@@ -285,9 +285,7 @@ class StreamingPipeline:
                     # waits by letting the consumer catch up first.
                     self._process_queue()
                     rest = self.queue.offer(rest)
-                if self._boundary_passed(
-                    int(batch.last_ms[0]), int(batch.last_ms.max())
-                ):
+                if self._boundary_passed(*batch.last_ms_bounds()):
                     self._process_queue()
                 if max_windows is not None and len(self.results) >= max_windows:
                     stopped_early = True

@@ -184,7 +184,9 @@ def _rechunk(
 
 class V5PacketSource:
     """Decode an iterable of binary NetFlow v5 packets into record
-    batches, one per packet; packets are read one at a time."""
+    batches, one per packet; packets are read one at a time.  Each
+    batch holds its packet's rows until the queue drains and casts the
+    columns of every packet it held at once."""
 
     def __init__(self, packets: Iterable[bytes], engines: EngineMap) -> None:
         self._packets = packets

@@ -16,9 +16,9 @@ for lateness against the windows still open when it arrived.
 Buffering reuses the measurement substrate directly: records sit in one
 shared :class:`~repro.netflow.collector.FlowCollector`, each closed
 window selects its records by timestamp, and the collector's time-based
-:meth:`~repro.netflow.collector.FlowCollector.drain_batch` evicts
-whatever no future window can need — the collector stays bounded over an
-unbounded stream.
+:meth:`~repro.netflow.collector.FlowCollector.evict` drops whatever no
+future window can need — the collector stays bounded over an unbounded
+stream.
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ class Windower:
         self._next_start = start + self.slide_ms
         # No future window starts before the new cursor, so records whose
         # timestamp precedes it can never be selected again: evict them.
-        self._collector.drain_batch(self._next_start)
+        self._collector.evict(self._next_start)
         METRICS.incr("stream.windows_closed")
         return ClosedWindow(bounds=WindowBounds(start, end), batch=batch)
 

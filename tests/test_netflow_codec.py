@@ -6,6 +6,9 @@ import struct
 
 import pytest
 
+from repro.config import StreamConfig
+from repro.core.ced import CEDDemand
+from repro.core.cost import LinearDistanceCost
 from repro.errors import DataError
 from repro.netflow.codec import (
     EngineMap,
@@ -17,8 +20,9 @@ from repro.netflow.codec import (
     encode_packets,
 )
 from repro.netflow.collector import FlowCollector
-from repro.netflow.records import FlowKey, NetFlowRecord, PROTO_TCP
+from repro.netflow.records import _COLUMNS, FlowKey, NetFlowRecord, PROTO_TCP, RecordBatch
 from repro.netflow.v9 import MAX_PENDING_BYTES, V9Decoder, V9Encoder
+from repro.stream import StreamingPipeline, V5PacketSource
 from repro.synth.trace import generate_network_trace
 from tests import netflow_reference
 
@@ -176,6 +180,50 @@ class TestStream:
         via_wire.ingest_batch(decoded)
         assert direct.deduplicated_octets() == via_wire.deduplicated_octets()
 
+    def test_a_reused_receive_buffer_decodes_what_it_held(self, engines):
+        """A receiver may refill one buffer for every packet: what was
+        decoded from it stays what the buffer held at the time."""
+        records = [
+            NetFlowRecord(
+                key=FlowKey(f"10.0.{i}.1", f"192.0.2.{i % 12 + 1}", 40000 + i, 443, PROTO_TCP),
+                octets=1000 + 37 * i + 11 * minute * (i % 5),
+                packets=1 + i,
+                first_ms=minute * 60_000,
+                last_ms=minute * 60_000 + 59_999,
+                router=router,
+            )
+            for minute in range(40)
+            for router in ("R1", "R2", "R3")
+            for i in range(MAX_RECORDS_PER_PACKET)
+        ]
+        packets = encode_packets(records, engines)
+        packets.sort(key=lambda p: struct.unpack_from(">I", p, 24 + 28))  # by last_ms
+        assert {len(p) for p in packets} == {24 + 48 * MAX_RECORDS_PER_PACKET}
+
+        def refilled():
+            buffer = bytearray(len(packets[0]))
+            for packet in packets:
+                buffer[:] = packet
+                yield buffer
+
+        want = decode_packets(packets, engines).to_records()
+        batches = [decode_packet(buffer, engines) for buffer in refilled()]
+        assert RecordBatch.concat(batches).to_records() == want
+        assert decode_packets(refilled(), engines).to_records() == want
+
+        def run(source):
+            return StreamingPipeline(
+                source,
+                distance_fn=lambda key: 1.0 + int(key.dst_addr.rsplit(".", 1)[1]) % 5,
+                demand_model=CEDDemand(1.1),
+                cost_model=LinearDistanceCost(0.2),
+                config=StreamConfig(window_ms=600_000, n_tiers=2),
+            ).run()
+
+        from_bytes = run(V5PacketSource(packets, engines))
+        assert from_bytes.windows_priced >= 3
+        assert run(V5PacketSource(refilled(), engines)).results == from_bytes.results
+
 
 def _outcome(decode, packet, engines):
     """Decoded records, or ``DataError``; any other exception escapes."""
@@ -258,6 +306,17 @@ class TestDecoderFuzz:
                     rejected += want is DataError
         # Both outcomes occur often: the fuzz reaches the record checks.
         assert 0.3 * cases < rejected < 0.9 * cases
+        # The joined path: every packet in one decode_packets call, and a
+        # concat of wire-held batches with column batches among them.
+        want = [r for p in packets for r in netflow_reference.decode_packet(p, engines)]
+        mixed = [decode_packet(packet, engines) for packet in packets]
+        mixed[1].last_ms  # read alone: builds its columns in place
+        mixed[3] = RecordBatch.from_records(mixed[3].to_records())  # its own router table
+        mixed[4:5] = [mixed[4].take(slice(0, 7)), mixed[4].take(slice(7, None))]
+        for joined in (decode_packets(packets, engines), RecordBatch.concat(mixed)):
+            assert joined.to_records() == want
+            for name, dtype in _COLUMNS.items():
+                assert getattr(joined, name).dtype == dtype, name
 
     def test_v9_wide_address_field_is_a_data_error(self):
         # IPV4_SRC_ADDR (type 8) declared 8 bytes wide, holding 2**40.
