@@ -18,11 +18,11 @@ server, is ``QuoteEngine.quote_batch`` over a
   shards, and one-shard-at-a-time snapshot cutover (old segments are
   unlinked only after every reader detached).
 * :mod:`~repro.fleet.frontdoor` — :class:`FrontDoor`: an asyncio socket
-  front-end (length-prefixed JSON frames), columnar from the socket to
-  the shard and back, that batches each frame's rows per shard behind
-  admission queues bounded in rows (drop-oldest shedding, degraded
-  blended-rate answers), plus :class:`FleetClient` and the socket load
-  generator behind ``python -m repro fleet --selftest``.
+  front-end (:mod:`repro.wire` frames, 8 MiB at most each way), columnar
+  from the socket to the shard and back, that batches each frame's rows
+  per shard behind admission queues bounded in rows (drop-oldest
+  shedding, degraded answers), plus :class:`FleetClient` and the socket
+  load generator behind ``python -m repro fleet --selftest``.
 
 Wiring a live stream to a fleet is one line, same shape as the
 registry::

@@ -1,7 +1,7 @@
 """The asyncio front door: sockets in, shard batches out.
 
-Wire protocol — length-prefixed JSON frames (4-byte big-endian length,
-then UTF-8 JSON), both directions.  A request frame::
+Wire protocol — :mod:`repro.wire`'s length-prefixed JSON frames, both
+directions.  A request frame::
 
     {"id": 7, "quotes": [{"dst": "10.0.0.1", "volume_mbps": 4.0,
                           "distance_miles": 120.0}, ...]}
@@ -13,11 +13,11 @@ are correlated by ``id``) with::
 
 ``{"id": N, "op": "stats"}`` returns the fleet's operational snapshot.
 A frame that is JSON but not a quote or stats request gets an
-``{"id": ..., "error": ...}`` reply, as does (with ``"id": null``) a
-frame whose id holds ``NaN`` or ``Infinity``, which strict JSON has
-not; a quote with a bad field gets its own ``{"error": ...}`` entry; a
-frame too large to be honest, or a body that is not JSON, closes the
-connection (``fleet.bad_frames``).
+``{"id": ..., "error": ...}`` reply, as does a quote frame whose reply
+would not fit a frame, and (with ``"id": null``) one whose id holds
+``NaN`` or ``Infinity`` or is too long to echo; a quote with a bad field
+gets its own ``{"error": ...}`` entry; a length over the bound, or a
+body that is not JSON, closes the connection (``fleet.bad_frames``).
 
 Inside, the front door is columnar from the socket to the shard and
 back.  One pass over a frame's ``quotes`` checks each row and appends it
@@ -44,7 +44,6 @@ import asyncio
 import collections
 import dataclasses
 import json
-import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Optional
@@ -60,52 +59,13 @@ from repro.serve.engine import (
     quote_texts,
 )
 from repro.fleet.shard import ShardFleet, shard_of
+from repro.wire import MAX_FRAME_BYTES, encode_frame, read_frame
 
 if TYPE_CHECKING:
     from repro.serve.engine import QuoteRequest
 
-_FRAME_LEN = struct.Struct(">I")
-#: Largest accepted frame (requests and replies), in bytes.
-MAX_FRAME_BYTES = 8 * 1024 * 1024
-
 #: The fields a frame's quote objects may carry.
 _REQUEST_FIELDS = frozenset(REQUEST_DEFAULTS)
-
-
-def _compact(value) -> str:
-    return json.dumps(value, separators=(",", ":"))
-
-
-def encode_frame(payload) -> bytes:
-    """One frame of ``payload``: a dict to encode as compact JSON, or a
-    body already written as JSON text (a quote reply's)."""
-    if not isinstance(payload, str):
-        payload = _compact(payload)
-    body = payload.encode("utf-8")
-    return _FRAME_LEN.pack(len(body)) + body
-
-
-async def read_frame(reader: asyncio.StreamReader):
-    """Read one frame's JSON value.
-
-    Raises:
-        DataError: The length exceeds :data:`MAX_FRAME_BYTES`, or the
-            body is not UTF-8 JSON (too deep nesting included).
-    """
-    header = await reader.readexactly(_FRAME_LEN.size)
-    (length,) = _FRAME_LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise DataError(
-            f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte "
-            "limit"
-        )
-    body = await reader.readexactly(length)
-    try:
-        return json.loads(body)
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers invalid UTF-8 and invalid JSON; a body nested
-        # too deep for the decoder raises RecursionError.
-        raise DataError(f"malformed frame: {exc}") from None
 
 
 class _Slice:
@@ -161,7 +121,8 @@ def _parse_quotes(raw: list, n_shards: int, new_future) -> tuple:
             check_request(dst, volume, distance, region, regime)
         except (ReproError, TypeError) as exc:
             bad += 1
-            answers[i] = _compact({"error": f"{type(exc).__name__}: {exc}"})
+            error = {"error": f"{type(exc).__name__}: {exc}"}
+            answers[i] = json.dumps(error, separators=(",", ":"))
             continue
         sid = shard_of(dst, n_shards)
         piece = slices.get(sid)
@@ -329,8 +290,14 @@ class FrontDoor:
             }
         else:
             reply = await self._serve_quotes(id_text, frame["quotes"])
+        try:
+            data = encode_frame(reply)
+        except DataError:  # the id is too long; quote replies are measured
+            METRICS.incr("fleet.bad_frames")
+            reply = {"id": None, "error": "frame id is too long to echo"}
+            data = encode_frame(reply)
         async with write_lock:
-            writer.write(encode_frame(reply))
+            writer.write(data)
             try:
                 await writer.drain()
             except (ConnectionResetError, BrokenPipeError, OSError):
@@ -338,7 +305,7 @@ class FrontDoor:
 
     async def _serve_quotes(self, id_text: str, raw: list) -> str:
         """The reply text of a frame whose id's JSON is ``id_text`` and
-        whose quotes are ``raw``."""
+        whose quotes are ``raw``, or an error if it would not fit a frame."""
         answers, slices, bad = _parse_quotes(
             raw, self.fleet.n_shards, asyncio.get_running_loop().create_future
         )
@@ -350,6 +317,15 @@ class FrontDoor:
             self._admit(sid, piece)
         for piece in slices.values():
             await piece.future
+        # The reply is {"id":<id>,"quotes":[<answer>,...]}, ASCII because
+        # json.dumps escapes the rest, so its characters are its bytes.
+        size = 19 + len(id_text) + sum(map(len, answers)) + len(answers) - 1
+        if size > MAX_FRAME_BYTES:
+            METRICS.incr("fleet.bad_frames")
+            return (
+                f'{{"id":{id_text},"error":"reply of {size} bytes would '
+                f'exceed MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"}}'
+            )
         return f'{{"id":{id_text},"quotes":[{",".join(answers)}]}}'
 
     # ------------------------------------------------------------------
@@ -527,13 +503,14 @@ class FleetClient:
             self._pending.clear()
 
     async def request(self, payload: dict) -> dict:
-        """Send one frame (an ``id`` is stamped in) and await its reply."""
+        """Send one frame (an ``id`` is stamped in) and await its reply;
+        a frame past ``MAX_FRAME_BYTES`` raises ``DataError``, unsent."""
         self._next_id += 1
         frame_id = self._next_id
-        payload = {**payload, "id": frame_id}
+        frame = encode_frame({**payload, "id": frame_id})
         future = asyncio.get_running_loop().create_future()
         self._pending[frame_id] = future
-        self._writer.write(encode_frame(payload))
+        self._writer.write(frame)
         await self._writer.drain()
         return await future
 

@@ -24,8 +24,8 @@ Three conforming backends ship:
 * :class:`PoolExecutor` — the single-machine process pool, byte-identical
   to serial at any width;
 * :class:`SocketExecutor` — a work-stealing coordinator serving specs
-  over length-prefixed JSON frames (the :mod:`repro.fleet.frontdoor`
-  wire idiom) to worker processes that pull, execute, and stream results
+  over :mod:`repro.wire`'s length-prefixed JSON frames (the front
+  door's wire) to worker processes that pull, execute, and stream results
   back.  Workers may be forked locally or joined from other machines via
   ``repro workers --connect HOST:PORT``.
 
@@ -50,12 +50,10 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import itertools
-import json
 import multiprocessing
 import os
 import queue
 import socket
-import struct
 import threading
 import time
 from collections import deque
@@ -66,71 +64,7 @@ from repro import obs
 from repro.config import ExecutorConfig
 from repro.errors import DataError, ExecutorError, WorkerLostError
 from repro.obs import METRICS, TraceContext
-
-# ----------------------------------------------------------------------
-# Wire format: 4-byte big-endian length prefix + UTF-8 JSON
-# (the synchronous twin of repro.fleet.frontdoor's asyncio framing)
-# ----------------------------------------------------------------------
-
-_FRAME_LEN = struct.Struct(">I")
-
-#: Upper bound on one frame; a 120-flow spec result is ~4 KB.
-MAX_FRAME_BYTES = 8 * 1024 * 1024
-
-
-def send_frame(sock: "socket.socket", payload: dict) -> None:
-    """Serialize ``payload`` and write one length-prefixed frame."""
-    data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    if len(data) > MAX_FRAME_BYTES:
-        raise DataError(
-            f"frame of {len(data)} bytes exceeds MAX_FRAME_BYTES "
-            f"({MAX_FRAME_BYTES})"
-        )
-    sock.sendall(_FRAME_LEN.pack(len(data)) + data)
-
-
-def _recv_exact(sock: "socket.socket", n: int) -> "Optional[bytes]":
-    chunks = []
-    while n:
-        try:
-            chunk = sock.recv(n)
-        except OSError:
-            return None
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
-
-
-def recv_frame(sock: "socket.socket") -> "Optional[dict]":
-    """Read one frame; ``None`` means the peer went away (EOF/reset).
-
-    Raises:
-        DataError: The length exceeds :data:`MAX_FRAME_BYTES`, or the
-            body is not UTF-8 JSON encoding an object.
-    """
-    header = _recv_exact(sock, _FRAME_LEN.size)
-    if header is None:
-        return None
-    (length,) = _FRAME_LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise DataError(
-            f"incoming frame of {length} bytes exceeds MAX_FRAME_BYTES "
-            f"({MAX_FRAME_BYTES})"
-        )
-    body = _recv_exact(sock, length)
-    if body is None:
-        return None
-    try:
-        frame = json.loads(body.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise DataError(f"malformed frame: {exc}") from None
-    if not isinstance(frame, dict):
-        raise DataError(
-            f"frame must be a JSON object, got {type(frame).__name__}"
-        )
-    return frame
+from repro.wire import recv_frame, send_frame
 
 
 def spec_to_wire(spec) -> dict:
@@ -548,8 +482,8 @@ class SocketExecutor(Executor):
         try:
             while True:
                 frame = recv_frame(sock)
-                if frame is None:
-                    return
+                if not isinstance(frame, dict):
+                    return  # the peer went away, or speaks no protocol
                 op = frame.get("op")
                 if op == "hello":
                     conn.pid = frame.get("pid")
@@ -783,7 +717,7 @@ def worker_main(
                 frame = recv_frame(sock)
             except DataError:
                 frame = None  # a coordinator speaking garbage is a lost one
-            if frame is None:
+            if not isinstance(frame, dict):
                 break
             op = frame.get("op")
             if op == "done":
@@ -905,13 +839,10 @@ def get_executor(config=None, **overrides) -> Executor:
 
 __all__ = [
     "Executor",
-    "MAX_FRAME_BYTES",
     "PoolExecutor",
     "SerialExecutor",
     "SocketExecutor",
     "get_executor",
-    "recv_frame",
-    "send_frame",
     "spec_from_wire",
     "spec_to_wire",
     "worker_main",

@@ -28,7 +28,6 @@ from repro.cli import build_parser, main
 from repro.config import EXECUTOR_BACKENDS, ExecutorConfig
 from repro.errors import (
     ConfigurationError,
-    DataError,
     ExecutorError,
     WorkerLostError,
     exit_code_for,
@@ -41,13 +40,12 @@ from repro.runtime.executor import (
     SerialExecutor,
     SocketExecutor,
     get_executor,
-    recv_frame,
-    send_frame,
     spec_from_wire,
     spec_to_wire,
     worker_main,
 )
 from repro.runtime.spec import ExperimentSpec, run_specs
+from repro.wire import recv_frame, send_frame
 
 #: Small-but-real specs: distinct seeds so nothing collapses to one
 #: cache entry, two budgets so the capture curves have shape.
@@ -59,7 +57,7 @@ SPECS = [
 ]
 
 
-#: Frame bodies that are not a JSON object: each must be a DataError.
+#: Frame bodies that are not a JSON object: a peer that sends one is dropped.
 HOSTILE_BODIES = [
     pytest.param(b"\xff\xfe{}", id="invalid-utf8"),
     pytest.param(b'{"op": "pull"', id="invalid-json"),
@@ -103,47 +101,13 @@ def tracer():
 
 
 # ----------------------------------------------------------------------
-# Wire format
+# Specs on the wire
 # ----------------------------------------------------------------------
 
 
 class TestWire:
-    def test_frame_round_trip(self):
-        a, b = socket_module.socketpair()
-        try:
-            send_frame(a, {"op": "pull", "n": [1, 2.5, "x"]})
-            assert recv_frame(b) == {"op": "pull", "n": [1, 2.5, "x"]}
-        finally:
-            a.close()
-            b.close()
-
-    def test_eof_is_none(self):
-        a, b = socket_module.socketpair()
-        a.close()
-        try:
-            assert recv_frame(b) is None
-        finally:
-            b.close()
-
-    def test_oversize_send_refused(self):
-        a, b = socket_module.socketpair()
-        try:
-            with pytest.raises(DataError, match="MAX_FRAME_BYTES"):
-                send_frame(a, {"blob": "x" * (8 * 1024 * 1024)})
-        finally:
-            a.close()
-            b.close()
-
-    @pytest.mark.parametrize("body", HOSTILE_BODIES)
-    def test_malformed_frame_is_a_data_error(self, body):
-        a, b = socket_module.socketpair()
-        try:
-            a.sendall(_raw_frame(body))
-            with pytest.raises(DataError, match="frame"):
-                recv_frame(b)
-        finally:
-            a.close()
-            b.close()
+    """The spec protocol's side of the wire; the frame is
+    ``tests/test_wire.py``'s."""
 
     def test_spec_survives_the_wire(self):
         spec = dataclasses.replace(SPECS[0], trace_context=("t" * 16, "s" * 8))

@@ -35,7 +35,7 @@ from repro.fleet import (
     segment_name,
     shard_of,
 )
-from repro.fleet.frontdoor import encode_frame, read_frame
+from repro.wire import MAX_FRAME_BYTES, encode_frame, read_frame
 from repro.mechanisms import MECHANISM_NAMES, mechanism_by_name
 from repro.obs import METRICS
 from repro.serve import (
@@ -922,6 +922,63 @@ class TestFrontDoor:
         asyncio.run(scenario())
         assert caught == []
 
+    def test_a_header_over_the_limit_closes_the_connection(self, fleet):
+        before = METRICS.counter("fleet.bad_frames")
+
+        async def scenario():
+            async with FrontDoor(fleet) as door:
+                reader, writer = await asyncio.open_connection(
+                    door.host, door.port
+                )
+                writer.write(struct.pack(">I", MAX_FRAME_BYTES + 1) + b"{}")
+                closed = await asyncio.wait_for(reader.read(), 5.0)
+                writer.close()
+                await writer.wait_closed()
+                return closed
+
+        assert asyncio.run(scenario()) == b""
+        assert METRICS.counter("fleet.bad_frames") == before + 1
+
+    def test_a_reply_too_large_for_a_frame_is_an_error(self, fleet):
+        # 40,000 answers take about 8.9 MB, past the 8 MiB frame bound.
+        before = METRICS.counter("fleet.bad_frames")
+
+        async def scenario():
+            async with FrontDoor(fleet) as door:
+                async with await FleetClient.connect(
+                    door.host, door.port
+                ) as client:
+                    return await asyncio.gather(
+                        client.quote_batch([{"dst": "10.0.0.1"}] * 40_000),
+                        client.quote_batch([{"dst": "10.0.0.1"}]),
+                        return_exceptions=True,
+                    )
+
+        too_large, (answer,) = asyncio.run(scenario())
+        assert isinstance(too_large, DataError)
+        assert str(too_large).startswith(
+            "front door rejected the frame: reply of "
+        ) and str(too_large).endswith(
+            f" bytes would exceed MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
+        )
+        assert not answer["degraded"] and answer["known"]
+        assert METRICS.counter("fleet.bad_frames") == before + 1
+
+    def test_client_refuses_to_send_a_request_too_large(self, fleet):
+        async def scenario():
+            async with FrontDoor(fleet) as door:
+                async with await FleetClient.connect(
+                    door.host, door.port
+                ) as client:
+                    with pytest.raises(DataError, match="MAX_FRAME_BYTES"):
+                        await client.quote_batch(
+                            [{"dst": "x" * MAX_FRAME_BYTES}]
+                        )
+                    return await client.quote_batch([{"dst": "10.0.0.1"}])
+
+        (answer,) = asyncio.run(scenario())
+        assert not answer["degraded"] and answer["known"]
+
     def test_pipelined_frames_correlate_by_id(self, fleet, snapshot):
         async def scenario():
             async with FrontDoor(fleet) as door:
@@ -1677,6 +1734,23 @@ class TestRepliesFromColumns:
         ] * 3
         assert replies[3]["id"] == 8
         assert replies[3]["quotes"][0]["tier"] == 2
+
+    def test_a_frame_id_too_long_to_echo_gets_an_error(self):
+        # The frame fits, but no stats reply around its id does: the
+        # error has a null id and the connection stays open.
+        long_id = "x" * (MAX_FRAME_BYTES - 40)
+        before = METRICS.counter("fleet.bad_frames")
+        bodies = raw_replies(
+            labelled_snapshot(),
+            FleetConfig(shards=1, timeout_ms=5000.0),
+            [{"id": long_id, "op": "stats"}, {"id": 8, "op": "stats"}],
+        )
+        assert METRICS.counter("fleet.bad_frames") == before + 1
+        replies = sorted(
+            (strict_json(body) for body in bodies), key=lambda r: r["id"] or 0
+        )
+        assert replies[0] == {"id": None, "error": "frame id is too long to echo"}
+        assert replies[1]["id"] == 8 and "stats" in replies[1]
 
 
 # ----------------------------------------------------------------------

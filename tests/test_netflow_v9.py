@@ -1,12 +1,23 @@
 """Tests for the template-based NetFlow v9 codec."""
 
+import random
 import struct
 
 import pytest
 
 from repro.errors import DataError
-from repro.netflow.records import FlowKey, NetFlowRecord, PROTO_TCP
+from repro.netflow.records import FlowKey, NetFlowRecord, PROTO_TCP, RecordBatch
 from repro.netflow.v9 import (
+    FIRST_SWITCHED,
+    IN_BYTES,
+    IN_PKTS,
+    IPV4_DST_ADDR,
+    IPV4_SRC_ADDR,
+    L4_DST_PORT,
+    L4_SRC_PORT,
+    LAST_SWITCHED,
+    PROTOCOL,
+    SAMPLING_INTERVAL,
     STANDARD_TEMPLATE_ID,
     TEMPLATE_FLOWSET_ID,
     V9Decoder,
@@ -194,3 +205,185 @@ class TestInteroperability:
         assert sorted(r.key.src_addr for r in decoded) == sorted(
             r.key.src_addr for r in trace.records
         )
+
+
+# ----------------------------------------------------------------------
+# Seeded mutation fuzz: templates, template-less data, field widths
+# ----------------------------------------------------------------------
+
+#: A template no encoder here announces: 8-byte counters, timestamps and
+#: sampling interval, 4-byte ports, and a field type the decoder does not
+#: know (skipped by length).
+WIDE_TEMPLATE_ID = 300
+WIDE_FIELDS = (
+    (IPV4_SRC_ADDR, 4),
+    (IPV4_DST_ADDR, 4),
+    (L4_SRC_PORT, 4),
+    (L4_DST_PORT, 4),
+    (PROTOCOL, 1),
+    (IN_BYTES, 8),
+    (IN_PKTS, 8),
+    (FIRST_SWITCHED, 4),
+    (LAST_SWITCHED, 8),
+    (SAMPLING_INTERVAL, 8),
+    (99, 3),
+)
+#: Values a wide field may carry, and the rarer ones past what a record
+#: or a batch column holds.
+WIDE_VALUES = {8: (1, 1500, 2**32 + 5, 2**63 - 1), 4: (443, 65535)}
+WIDE_PAST = {8: (2**63, 2**64 - 1), 4: (65536, 2**32 - 1)}
+
+
+def _packet(source_id: int, flowsets: bytes, count: int = 1) -> bytes:
+    return struct.pack(">HHIIII", 9, count, 0, 0, 0, source_id) + flowsets
+
+
+def _flowset(flowset_id: int, body: bytes) -> bytes:
+    body += b"\x00" * ((-len(body)) % 4)
+    return struct.pack(">HH", flowset_id, 4 + len(body)) + body
+
+
+def _template(template_id: int, fields) -> bytes:
+    body = struct.pack(">HH", template_id, len(fields)) + b"".join(
+        struct.pack(">HH", ftype, length) for ftype, length in fields
+    )
+    return _flowset(TEMPLATE_FLOWSET_ID, body)
+
+
+def _wide_row(rng: random.Random) -> bytes:
+    def value(ftype, length):
+        if length == 8 or ftype in (L4_SRC_PORT, L4_DST_PORT):
+            table = WIDE_PAST if rng.random() < 0.05 else WIDE_VALUES
+            return rng.choice(table[length])
+        return rng.randrange(256**length)
+
+    return b"".join(
+        value(ftype, length).to_bytes(length, "big") for ftype, length in WIDE_FIELDS
+    )
+
+
+def _wide_data(rng: random.Random, rows: int) -> bytes:
+    return _flowset(WIDE_TEMPLATE_ID, b"".join(_wide_row(rng) for _ in range(rows)))
+
+
+def _mutated(rng: random.Random, packet: bytes) -> bytes:
+    """``packet`` with bytes flipped, cut off, or inserted."""
+    packet = bytearray(packet)
+    kind = rng.choice(["flip", "truncate", "insert"])
+    if kind == "flip":
+        for _ in range(rng.randint(1, 4)):
+            packet[rng.randrange(len(packet))] ^= rng.randint(1, 255)
+    elif kind == "truncate":
+        del packet[rng.randrange(len(packet)) :]
+    else:
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randrange(len(packet) + 1)
+            packet[at:at] = bytes(rng.randrange(256) for _ in range(rng.randint(1, 4)))
+    return bytes(packet)
+
+
+def _run_packets(rng: random.Random) -> "list[bytes]":
+    """One exporter session: standard-template packets from an encoder,
+    and wide-template data, some of it sent before its template."""
+    encoder = V9Encoder(
+        source_id=7,
+        max_records_per_packet=rng.randint(1, 6),
+        template_refresh=rng.randint(1, 4),
+    )
+    records = [
+        record(rng.randrange(200), octets=rng.randint(1, 2**32 - 1))
+        for _ in range(rng.randint(1, 20))
+    ]
+    packets = encoder.encode(records)
+    wide = [_packet(8, _wide_data(rng, rng.randint(1, 4))) for _ in range(2)]
+    wide.insert(rng.randint(0, 2), _packet(8, _template(WIDE_TEMPLATE_ID, WIDE_FIELDS)))
+    packets += wide
+    rng.shuffle(packets)
+    return packets
+
+
+def _decode_or_data_error(decoder: V9Decoder, packet: bytes) -> "tuple[int, int]":
+    """Decode one packet and batch its records: (records, DataErrors)."""
+    try:
+        records = decoder.decode(packet)
+    except DataError:
+        return 0, 1
+    assert all(isinstance(r, NetFlowRecord) for r in records)
+    try:
+        RecordBatch.from_records(records)
+    except DataError:
+        return len(records), 1
+    return len(records), 0
+
+
+class TestSeededMutationFuzz:
+    """One stateful decoder per run, over encoder packets and wide-template
+    data (some before its template), half of them mutated: each packet
+    yields records or a ``DataError``, and so does batching the records."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stateful_runs(self, seed):
+        rng = random.Random(seed)
+        decoded = errors = 0
+        for _ in range(50):
+            decoder = V9Decoder({7: "R1", 8: "R2"})
+            for packet in _run_packets(rng):
+                if rng.random() < 0.5:
+                    packet = _mutated(rng, packet)
+                n, bad = _decode_or_data_error(decoder, packet)
+                decoded, errors = decoded + n, errors + bad
+            assert 0 <= decoder.pending_bytes()
+        assert decoded and errors
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stateless_mutations(self, seed):
+        rng = random.Random(1000 + seed)
+        packets = _run_packets(rng)
+        template = _packet(8, _template(WIDE_TEMPLATE_ID, WIDE_FIELDS))
+        for _ in range(1000):
+            decoder = V9Decoder({7: "R1", 8: "R2"})
+            decoder.decode(template)
+            _decode_or_data_error(decoder, _mutated(rng, rng.choice(packets)))
+
+    def test_wide_fields_decode_and_batch_exactly(self):
+        row = (
+            (0x0A000001).to_bytes(4, "big") + (0xC6336407).to_bytes(4, "big")
+            + (443).to_bytes(4, "big") + (65535).to_bytes(4, "big")
+            + bytes([6]) + (2**40).to_bytes(8, "big") + (2**33).to_bytes(8, "big")
+            + (100).to_bytes(4, "big") + (2**35).to_bytes(8, "big")
+            + (512).to_bytes(8, "big") + b"xyz"
+        )
+        decoder = V9Decoder({8: "R2"})
+        # Data before its template waits, then drains with it.
+        assert decoder.decode(_packet(8, _flowset(WIDE_TEMPLATE_ID, row * 2))) == []
+        assert decoder.pending_bytes() > 0
+        records = decoder.decode(_packet(8, _template(WIDE_TEMPLATE_ID, WIDE_FIELDS)))
+        assert decoder.pending_bytes() == 0
+        assert len(records) == 2
+        (first,) = set(records)
+        assert first.key == FlowKey("10.0.0.1", "198.51.100.7", 443, 65535, 6)
+        assert (first.octets, first.packets) == (2**40, 2**33)
+        assert (first.first_ms, first.last_ms) == (100, 2**35)
+        assert first.sampling_interval == 512
+        batch = RecordBatch.from_records(records)
+        assert batch.octets.tolist() == [2**40] * 2
+        assert batch.last_ms.tolist() == [2**35] * 2
+
+    def test_wide_values_past_their_columns_are_data_errors(self):
+        def row(port, octets):
+            return (
+                (0x0A000001).to_bytes(4, "big") + (0x0A000002).to_bytes(4, "big")
+                + port.to_bytes(4, "big") + (80).to_bytes(4, "big") + bytes([17])
+                + octets.to_bytes(8, "big") + (1).to_bytes(8, "big")
+                + (0).to_bytes(4, "big") + (0).to_bytes(8, "big")
+                + (1).to_bytes(8, "big") + b"abc"
+            )
+
+        decoder = V9Decoder({8: "R2"})
+        decoder.decode(_packet(8, _template(WIDE_TEMPLATE_ID, WIDE_FIELDS)))
+        with pytest.raises(DataError, match="port out of range"):
+            decoder.decode(_packet(8, _flowset(WIDE_TEMPLATE_ID, row(65536, 1))))
+        records = decoder.decode(_packet(8, _flowset(WIDE_TEMPLATE_ID, row(53, 2**63))))
+        assert records[0].octets == 2**63
+        with pytest.raises(DataError, match="64 bits"):
+            RecordBatch.from_records(records)
