@@ -17,6 +17,8 @@ the other bench records.
 import json
 import time
 
+import pytest
+
 from repro.experiments import figure14_data
 from repro.experiments.render import render_envelope as render
 from repro.runtime import cache as runtime_cache
@@ -43,9 +45,21 @@ def test_figure14(run_once, save_output):
     assert data["panels"]["ced"]["eu_isp"][data["bundle_counts"].index(2)] >= 0.5
 
 
-def test_runtime_baseline():
+@pytest.fixture
+def cold_cache():
+    """An enabled, empty, memory-only cache, whatever ``REPRO_NO_CACHE``
+    and ``REPRO_CACHE_DIR`` say; the previous setting is restored after."""
+    was_enabled = runtime_cache.cache_enabled()
+    directory = runtime_cache.configure().directory
+    runtime_cache.configure(enabled=True, directory="")
+    yield
+    runtime_cache.configure(
+        enabled=was_enabled, directory=str(directory or "")
+    )
+
+
+def test_runtime_baseline(cold_cache):
     """Cold vs warm wall time for the heaviest sweep, archived as JSON."""
-    runtime_cache.configure(fresh=True)  # a real cold start
     METRICS.reset()
     start = time.perf_counter()
     cold = figure14_data()

@@ -67,6 +67,26 @@ class DriftReport:
         """Recommend re-tiering when the capture gap crosses a threshold."""
         return self.capture_drop > capture_drop_threshold
 
+    def render(self, design: TierDesign, new_flows: FlowSet) -> str:
+        """The report of scoring ``design`` against ``new_flows``, ending
+        in a keep-or-re-tier recommendation."""
+        verdict = "RE-TIER" if self.should_retier() else "keep current tiers"
+        return "\n".join(
+            [
+                f"design: {design.n_tiers} tiers over "
+                f"{len(design.tier_of_destination)} destinations",
+                f"new matrix: {len(new_flows)} flows, "
+                f"{self.unknown_destinations} unknown / "
+                f"{self.missing_destinations} churned destinations",
+                f"stale design:     profit ${self.stale_profit:,.0f} "
+                f"(capture {self.stale_capture:.3f})",
+                f"refreshed design: profit ${self.refreshed_profit:,.0f} "
+                f"(capture {self.refreshed_capture:.3f})",
+                f"monthly regret:   ${self.regret:,.0f}",
+                f"recommendation:   {verdict}",
+            ]
+        )
+
 
 def replay_design_prices(
     design: TierDesign, market: Market

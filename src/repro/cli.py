@@ -1,46 +1,19 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
+This module parses flags, resolves them into configs and plain values,
+and dispatches; each command's work lives beside what it computes.
+``table1``, ``figure N`` and ``report`` render
+:data:`repro.experiments.report.ARTIFACTS`; ``fleet``, ``mechanisms``
+and ``ecosystem --selftest`` run the ``selftest`` module of their
+package (:mod:`repro.fleet.selftest`, :mod:`repro.mechanisms.selftest`,
+:mod:`repro.ecosystem.selftest`).
 
-* ``table1`` — regenerate the paper's Table 1 (paper vs synthetic).
-* ``figure N`` — regenerate Figure N's series as a text table
-  (N in 1-6, 8-16; Figures 7 and 17 are architecture diagrams).
-* ``datasets`` — list the synthetic datasets and their targets.
-* ``design`` — design pricing tiers for a dataset and print the tier
-  card (prices, destinations, demand) plus profit capture.
-* ``stream`` — replay a synthetic trace through the streaming repricing
-  pipeline (windowed ingest, incremental calibration, drift-triggered
-  re-tiering) and print the window-by-window report.
-* ``fleet`` — stand up the quote fleet: run a short replayed stream
-  that publishes tier designs (under ``--mechanism``) into shard workers
-  over shared-memory snapshot segments, then serve a seeded self-test
-  load through the asyncio socket front door, with a live snapshot
-  cutover halfway through, and report quotes/sec plus the latency tail.
-* ``ecosystem`` — generate a seeded AS-level internet ecosystem (tiered
-  AS hierarchy, IXP peering, valley-free routing, per-AS NetFlow) and
-  optionally self-test it end to end.
-* ``mechanisms`` — price one dataset under every registered pricing
-  mechanism (posted tiers, spot auction, paid peering, hybrid) across
-  several demand families and print the profit-capture comparison table;
-  ``--selftest`` additionally asserts posted-tiers byte-identity and the
-  spot-auction clearing invariants.
-* ``trace summarize`` — roll a ``--trace`` JSONL file up into per-stage
-  latency/error statistics.
-* ``workers`` — join a running socket-executor coordinator (``--executor
-  socket`` sweep) as one or more sweep worker processes.
-
-Everything honors ``--flows`` and ``--seed`` so results are reproducible
-and fast to experiment with.  Every subcommand additionally honors the
-runtime flags ``--jobs`` (parallel fan-out), ``--executor`` (sweep
-backend: serial/pool/socket), ``--no-cache`` (disable the
-dataset/market/result cache), ``--metrics`` (emit a structured-JSON run
-report), and ``--trace`` (append every span of the run to a JSONL trace
-file) — none of which change the computed output.
-
-Flag values resolve through :mod:`repro.config` (explicit flag >
-``REPRO_*`` environment variable > default), and a failing run exits
-with the :data:`repro.errors.EXIT_CODES` code of the error class, so
-wrappers can tell a calibration failure from a malformed configuration.
+Every command honors ``--flows`` and ``--seed``, and the runtime flags
+``--jobs``, ``--executor``, ``--no-cache``, ``--metrics`` and
+``--trace``, none of which change the computed output.  Flag values
+resolve through :mod:`repro.config` (explicit flag > ``REPRO_*``
+environment variable > default), and a failing run exits with the
+:data:`repro.errors.EXIT_CODES` code of its error class.
 """
 
 from __future__ import annotations
@@ -53,7 +26,6 @@ from collections.abc import Sequence
 
 from repro import obs
 from repro.config import (
-    MECHANISMS,
     EcosystemConfig,
     ExecutorConfig,
     FleetConfig,
@@ -67,61 +39,14 @@ from repro.core.bundling import strategy_by_name
 from repro.errors import (
     ConfigurationError,
     DataError,
-    MechanismError,
     ReproError,
     exit_code_for,
 )
-from repro.experiments import figures, render, sweeps, tables
+from repro.experiments.report import FIGURES, generate_report, render_artifact
 from repro.experiments.config import DEFAULT_CONFIG
-from repro.experiments.runner import build_market
+from repro.experiments.runner import build_market, demand_model
 from repro.runtime import cache as runtime_cache
 from repro.synth.datasets import DATASET_NAMES, DATASETS
-
-#: Figure number -> (driver factory, renderer) wiring.
-_FIGURES = {
-    1: (lambda cfg: figures.figure1_data(), render.render_figure1),
-    2: (lambda cfg: figures.figure2_data(), render.render_figure2),
-    3: (lambda cfg: figures.figure3_data(), render.render_figure3),
-    4: (lambda cfg: figures.figure4_data(), render.render_figure4),
-    5: (lambda cfg: figures.figure5_data(), render.render_figure5),
-    6: (lambda cfg: figures.figure6_data(), render.render_figure6),
-    8: (lambda cfg: figures.figure8_data(cfg), render.render_figure8),
-    9: (lambda cfg: figures.figure9_data(cfg), render.render_figure9),
-    10: (
-        lambda cfg: sweeps.figure10_data(cfg),
-        lambda data: render.render_theta_sweep(data, "Figure 10"),
-    ),
-    11: (
-        lambda cfg: sweeps.figure11_data(cfg),
-        lambda data: render.render_theta_sweep(data, "Figure 11"),
-    ),
-    12: (
-        lambda cfg: sweeps.figure12_data(cfg),
-        lambda data: render.render_theta_sweep(data, "Figure 12"),
-    ),
-    13: (
-        lambda cfg: sweeps.figure13_data(cfg),
-        lambda data: render.render_theta_sweep(data, "Figure 13"),
-    ),
-    14: (
-        lambda cfg: sweeps.figure14_data(config=cfg),
-        lambda data: render.render_envelope(
-            data, "Figure 14", f"alpha in {data['alphas']}"
-        ),
-    ),
-    15: (
-        lambda cfg: sweeps.figure15_data(config=cfg),
-        lambda data: render.render_envelope(
-            data, "Figure 15", f"P0 in {data['blended_rates']}"
-        ),
-    ),
-    16: (
-        lambda cfg: sweeps.figure16_data(config=cfg),
-        lambda data: render.render_envelope(
-            data, "Figure 16", f"s0 in {data['s0_values']}"
-        ),
-    ),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,6 +75,32 @@ def build_parser() -> argparse.ArgumentParser:
     add_flags(runtime, RuntimeConfig, "cache", "metrics")
     add_flags(runtime, ObsConfig)
 
+    # Design flags, shared by the subcommands that design tiers.
+    tiers = argparse.ArgumentParser(add_help=False)
+    tiers.add_argument(
+        "--tiers", type=int, default=3, help="tier budget (default 3)"
+    )
+    demand = argparse.ArgumentParser(add_help=False)
+    demand.add_argument(
+        "--demand",
+        choices=("ced", "logit"),
+        default="ced",
+        help="demand family (default ced)",
+    )
+    mechanism = argparse.ArgumentParser(add_help=False)
+    add_flags(mechanism, MechanismConfig, "mechanism")
+    designs = [runtime, tiers, demand, mechanism]
+    # ... and by the subcommands that replay a trace.
+    replay = argparse.ArgumentParser(add_help=False)
+    replay.add_argument(
+        "--window",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="event-time window length (default: $REPRO_STREAM_WINDOW_MS, "
+        "else 600 s)",
+    )
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("table1", help="regenerate Table 1", parents=[runtime])
@@ -157,44 +108,31 @@ def build_parser() -> argparse.ArgumentParser:
     fig = sub.add_parser(
         "figure", help="regenerate one figure", parents=[runtime]
     )
-    fig.add_argument("number", type=int, choices=sorted(_FIGURES))
+    fig.add_argument("number", type=int, choices=sorted(FIGURES))
 
     sub.add_parser(
         "datasets", help="list synthetic datasets", parents=[runtime]
     )
 
     design = sub.add_parser(
-        "design", help="design pricing tiers", parents=[runtime]
+        "design", help="design pricing tiers", parents=designs
     )
     design.add_argument(
         "dataset", choices=DATASET_NAMES, help="which network to design for"
-    )
-    design.add_argument("--tiers", type=int, default=3)
-    design.add_argument(
-        "--demand", choices=("ced", "logit"), default="ced"
     )
     design.add_argument(
         "--strategy",
         default="profit-weighted",
         help="bundling strategy (figure-legend name)",
     )
-    add_flags(design, MechanismConfig, "mechanism")
 
     stream = sub.add_parser(
         "stream",
         help="run the streaming repricing pipeline on a replayed trace",
-        parents=[runtime],
+        parents=[*designs, replay],
     )
     stream.add_argument(
         "dataset", choices=DATASET_NAMES, help="which network's trace to replay"
-    )
-    stream.add_argument(
-        "--window",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="event-time window length (default: $REPRO_STREAM_WINDOW_MS, "
-        "else 600 s)",
     )
     stream.add_argument(
         "--slide",
@@ -217,10 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="GAP",
         help="re-tier when refreshed-vs-stale profit capture exceeds this "
         "(default: $REPRO_STREAM_DRIFT, else 0.1)",
-    )
-    stream.add_argument("--tiers", type=int, default=3)
-    stream.add_argument(
-        "--demand", choices=("ced", "logit"), default="ced"
     )
     stream.add_argument(
         "--duration",
@@ -272,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument("--shift-factor", type=float, default=3.0)
     stream.add_argument("--shift-fraction", type=float, default=0.5)
-    add_flags(stream, MechanismConfig, "mechanism")
 
     fleet = sub.add_parser(
         "fleet",
@@ -280,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
             "run the sharded multi-process quote fleet (shared-memory "
             "snapshots, asyncio front door) and a socket self-test load"
         ),
-        parents=[runtime],
+        parents=[*designs, replay],
     )
     fleet.add_argument(
         "dataset",
@@ -309,27 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of load aimed at destinations outside the design",
     )
     fleet.add_argument(
-        "--tiers", type=int, default=3, help="tier budget for published designs"
-    )
-    fleet.add_argument(
-        "--demand", choices=("ced", "logit"), default="ced"
-    )
-    fleet.add_argument(
-        "--window",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="warm-up stream window length (default: "
-        "$REPRO_STREAM_WINDOW_MS, else 600 s)",
-    )
-    fleet.add_argument(
         "--duration",
         type=float,
         default=1800.0,
         metavar="SECONDS",
         help="warm-up stream capture length (default 1800)",
     )
-    add_flags(fleet, MechanismConfig, "mechanism")
 
     ecosystem = sub.add_parser(
         "ecosystem",
@@ -337,15 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
             "generate a seeded AS-level internet ecosystem (valley-free "
             "routing, per-AS NetFlow) and report it"
         ),
-        parents=[runtime],
+        parents=[runtime, tiers, mechanism],
     )
     add_flags(ecosystem, EcosystemConfig, "ases", "ixps", "seed")
-    ecosystem.add_argument(
-        "--tiers",
-        type=int,
-        default=3,
-        help="tier budget for the per-AS designs (default 3)",
-    )
     ecosystem.add_argument(
         "--emit-netflow",
         default=None,
@@ -361,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
             "one tier-2 AS"
         ),
     )
-    add_flags(ecosystem, MechanismConfig, "mechanism")
 
     mechanisms = sub.add_parser(
         "mechanisms",
@@ -369,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
             "price one dataset under every registered pricing mechanism "
             "and tabulate profit capture per demand family"
         ),
-        parents=[runtime],
+        parents=[runtime, tiers],
     )
     mechanisms.add_argument(
         "dataset",
@@ -377,12 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="eu_isp",
         choices=DATASET_NAMES,
         help="which synthetic network to price (default eu_isp)",
-    )
-    mechanisms.add_argument(
-        "--tiers",
-        type=int,
-        default=3,
-        help="tier budget for the posted/hybrid mechanisms (default 3)",
     )
     add_flags(mechanisms, MechanismConfig, "spot_windows")
     mechanisms.add_argument(
@@ -492,12 +397,11 @@ def _ms(seconds: "float | None") -> "int | None":
 
 
 def cmd_table1(args: argparse.Namespace) -> str:
-    return tables.render_table1(tables.table1_data(config=_config(args)))
+    return render_artifact("table1", _config(args))
 
 
 def cmd_figure(args: argparse.Namespace) -> str:
-    driver, renderer = _FIGURES[args.number]
-    return renderer(driver(_config(args)))
+    return render_artifact(args.number, _config(args))
 
 
 def cmd_datasets(args: argparse.Namespace) -> str:
@@ -520,44 +424,25 @@ def cmd_design(args: argparse.Namespace) -> str:
     strategy = strategy_by_name(args.strategy)
     mech_cfg = MechanismConfig.resolve(cli=args)
     mechanism = mech_cfg.build(strategy=strategy, n_tiers=args.tiers)
-    design = mechanism.design_on(market)
-    posted = mech_cfg.is_default
-    lines = [
-        market.describe(),
+    return mechanism.design_on(market).render(
         f"strategy: {strategy.name}, tiers requested: {args.tiers}"
-        if posted
-        else f"mechanism: {mechanism.describe()}",
-        f"profit capture: {design.profit_capture:.1%} "
-        f"(blended ${market.blended_profit():,.0f} -> "
-        f"${design.profit:,.0f} -> ceiling ${market.max_profit():,.0f})",
-    ]
-    if not posted:
-        lines.append(
-            f"tiers: {design.n_tiers} total "
-            f"({design.posted_tiers} posted, {design.spot_tiers} spot)"
-        )
-    lines += [
-        "",
-        f"{'tier':>4} {'price $/Mbps':>13} {'flows':>7} {'demand Mbps':>13} "
-        f"{'mean cost':>10}",
-    ]
-    for i, tier in enumerate(design.tiers, start=1):
-        lines.append(
-            f"{i:>4} {tier.price:>13.2f} {tier.n_flows:>7} "
-            f"{tier.demand_mbps:>13.1f} {tier.mean_cost:>10.2f}"
-        )
-    return "\n".join(lines)
-
-
-def cmd_stream(args: argparse.Namespace) -> str:
-    from repro.core.ced import CEDDemand
-    from repro.core.cost import LinearDistanceCost
-    from repro.core.logit import LogitDemand
-    from repro.stream import (
-        DemandShift,
-        StreamingPipeline,
-        TraceReplaySource,
+        if mech_cfg.is_default
+        else f"mechanism: {mechanism.describe()}"
     )
+
+
+def _replay_pipeline(
+    args: argparse.Namespace,
+    *,
+    export_interval_s: float = 60.0,
+    shift=None,
+    checkpoint: "str | None" = None,
+    **stream_fields,
+):
+    """``args.dataset``'s trace replayed into a ``StreamingPipeline``;
+    ``stream_fields`` set further :class:`StreamConfig` fields."""
+    from repro.core.cost import LinearDistanceCost
+    from repro.stream import StreamingPipeline, TraceReplaySource
     from repro.synth.trace import generate_network_trace
 
     trace = generate_network_trace(
@@ -566,6 +451,29 @@ def cmd_stream(args: argparse.Namespace) -> str:
         seed=args.seed,
         duration_seconds=args.duration,
     )
+    source = TraceReplaySource(
+        trace, export_interval_ms=int(export_interval_s * 1000), shift=shift
+    )
+    config = StreamConfig.resolve(
+        window_ms=_ms(args.window),
+        n_tiers=args.tiers,
+        blended_rate=DEFAULT_CONFIG.blended_rate,
+        **stream_fields,
+    )
+    return StreamingPipeline(
+        source,
+        distance_fn=trace.distance_for,
+        demand_model=demand_model(args.demand),
+        cost_model=LinearDistanceCost(theta=DEFAULT_CONFIG.theta),
+        config=config,
+        checkpoint_path=checkpoint,
+        mechanism=MechanismConfig.resolve(cli=args).build(n_tiers=args.tiers),
+    )
+
+
+def cmd_stream(args: argparse.Namespace) -> str:
+    from repro.stream import DemandShift
+
     shift = None
     if args.shift_at is not None:
         shift = DemandShift(
@@ -573,182 +481,37 @@ def cmd_stream(args: argparse.Namespace) -> str:
             factor=args.shift_factor,
             fraction=args.shift_fraction,
         )
-    source = TraceReplaySource(
-        trace,
-        export_interval_ms=int(args.export_interval * 1000),
+    pipeline = _replay_pipeline(
+        args,
+        export_interval_s=args.export_interval,
         shift=shift,
-    )
-    if args.demand == "ced":
-        demand = CEDDemand(alpha=DEFAULT_CONFIG.alpha)
-    else:
-        demand = LogitDemand(alpha=DEFAULT_CONFIG.alpha, s0=DEFAULT_CONFIG.s0)
-    config = StreamConfig.resolve(
-        window_ms=_ms(args.window),
+        checkpoint=args.checkpoint,
         slide_ms=_ms(args.slide),
         reorder_tolerance_ms=_ms(args.tolerance),
         queue_capacity=args.queue,
         queue_policy=args.policy,
-        n_tiers=args.tiers,
         drift_threshold=args.drift_threshold,
-        blended_rate=DEFAULT_CONFIG.blended_rate,
     )
-    mech_cfg = MechanismConfig.resolve(cli=args)
-    pipeline = StreamingPipeline(
-        source,
-        distance_fn=trace.distance_for,
-        demand_model=demand,
-        cost_model=LinearDistanceCost(theta=DEFAULT_CONFIG.theta),
-        config=config,
-        checkpoint_path=args.checkpoint,
-        mechanism=mech_cfg.build(n_tiers=args.tiers),
-    )
-    report = pipeline.run(max_windows=args.max_windows)
-    return report.render()
+    return pipeline.run(max_windows=args.max_windows).render()
 
 
 def cmd_fleet(args: argparse.Namespace) -> str:
-    import asyncio
-    import json
+    from repro.fleet.selftest import selftest
 
-    from repro.core.ced import CEDDemand
-    from repro.core.cost import LinearDistanceCost
-    from repro.core.logit import LogitDemand
-    from repro.fleet import FrontDoor, ShardFleet, run_socket_load
-    from repro.serve import SnapshotRegistry, generate_requests
-    from repro.stream import StreamingPipeline, TraceReplaySource
-    from repro.synth.trace import generate_network_trace
-
-    # 1. Warm up with genuinely streamed designs: replay a short trace;
-    #    every accepted re-tiering publishes into a plain registry (for
-    #    the load generator's known destinations) *and* into the fleet
-    #    (segment versions; the workers attach the last one on spawn).
-    trace = generate_network_trace(
-        args.dataset,
-        n_flows=args.flows,
+    lines = selftest(
+        _replay_pipeline(args),
+        FleetConfig.resolve(cli=args),
+        n_requests=args.selftest,
         seed=args.seed,
-        duration_seconds=args.duration,
-    )
-    source = TraceReplaySource(trace, export_interval_ms=60_000)
-    if args.demand == "ced":
-        demand = CEDDemand(alpha=DEFAULT_CONFIG.alpha)
-    else:
-        demand = LogitDemand(alpha=DEFAULT_CONFIG.alpha, s0=DEFAULT_CONFIG.s0)
-    cost_model = LinearDistanceCost(theta=DEFAULT_CONFIG.theta)
-    stream_config = StreamConfig.resolve(
-        window_ms=_ms(args.window),
-        n_tiers=args.tiers,
-        blended_rate=DEFAULT_CONFIG.blended_rate,
-    )
-    fleet_config = FleetConfig.resolve(cli=args)
-    mech_cfg = MechanismConfig.resolve(cli=args)
-    registry = SnapshotRegistry()
-    fleet = ShardFleet(
-        cost_model,
-        fleet_config,
-        fallback_blended_rate=DEFAULT_CONFIG.blended_rate,
-    )
-    pipeline = StreamingPipeline(
-        source,
-        distance_fn=trace.distance_for,
-        demand_model=demand,
-        cost_model=cost_model,
-        config=stream_config,
-        mechanism=mech_cfg.build(n_tiers=args.tiers),
-    )
-    pipeline.repricer.on_design_published = registry.subscriber(
-        pipeline.config_digest
-    )
-    pipeline.repricer.subscribe(fleet.subscriber(pipeline.config_digest))
-    stream_report = pipeline.run()
-    snapshot = registry.current()
-
-    # 2. Spin up the fleet + front door and drive the socket self-test,
-    #    with a live cutover halfway through: the second half's answers
-    #    must all carry the post-cutover version.
-    requests = generate_requests(
-        args.selftest,
-        seed=args.seed,
-        snapshot=snapshot,
         unknown_fraction=args.unknown_fraction,
     )
-
-    async def _selftest(door: FrontDoor):
-        half = len(requests) // 2
-        first = await run_socket_load(
-            door.host, door.port, requests[:half]
-        )
-        if snapshot is not None:
-            fleet.publish(snapshot)
-        second = await run_socket_load(
-            door.host, door.port, requests[half:]
-        )
-        return first, second
-
-    with fleet:
-        if snapshot is not None:
-            fleet.publish(snapshot)
-
-        async def _run():
-            async with FrontDoor(fleet, fleet_config) as door:
-                port = door.port
-                first, second = await _selftest(door)
-                return port, first, second
-
-        port, first, second = asyncio.run(_run())
-        stats = fleet.stats()
-        pids = [pid for pid in stats["pids"] if pid is not None]
-    stale = [v for v in second.versions if v != fleet.version]
-    answered = first.answered + second.answered
-    wall = first.wall_time_s + second.wall_time_s
-    summary = {
-        "shards": fleet.n_shards,
-        "pids": pids,
-        "distinct_pids": len(set(pids)),
-        "port": port,
-        "answered": answered,
-        "priced": first.priced + second.priced,
-        "degraded": first.degraded + second.degraded,
-        "quotes_per_second": round(answered / max(wall, 1e-9), 1),
-        "p99_ms": second.latency_ms.get("p99"),
-        "versions": sorted(set(first.versions) | set(second.versions)),
-        "cutovers": stats["cutovers"],
-        "respawns": stats["respawns"],
-        "stale_after_cutover": len(stale),
-    }
-    lines = [
-        f"stream warm-up: {len(stream_report.results)} windows, "
-        f"{stream_report.windows_priced} priced, "
-        f"{stream_report.retier_events} re-tier events",
-        (
-            "active snapshot: none (degraded serving)"
-            if snapshot is None
-            else f"active {snapshot.describe()}"
-        ),
-        f"fleet: {fleet.n_shards} shards (pids {pids}), front door on "
-        f"port {port}, segment version {fleet.version}",
-        first.render(),
-        f"-- live cutover to v{fleet.version} --",
-        second.render(),
-        "fleet-report: " + json.dumps(summary, sort_keys=True),
-    ]
     return "\n".join(lines)
 
 
 def cmd_ecosystem(args: argparse.Namespace) -> str:
     import json
 
-    from repro.ecosystem import (
-        EcosystemSpec,
-        STUB,
-        TIER2,
-        as_table1_row,
-        build_ecosystem,
-        design_for_as,
-        measured_flowset_for,
-        render_ecosystem,
-        verify_valley_free,
-    )
-    from repro.netflow.codec import encode_packets
+    from repro.ecosystem import EcosystemSpec, build_ecosystem, write_netflow
 
     config = EcosystemConfig.resolve(cli=args)
     spec = EcosystemSpec.from_counts(
@@ -760,209 +523,32 @@ def cmd_ecosystem(args: argparse.Namespace) -> str:
         f"digest {spec.digest()[:12]})",
         "summary: " + json.dumps(eco.summary(), sort_keys=True),
     ]
-
     if args.emit_netflow:
-        import pathlib
-
-        out_dir = pathlib.Path(args.emit_netflow)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        engines = eco.engine_map()
-        total_packets = 0
-        for a in eco.ases:
-            packets = encode_packets(eco.netflow_records_for(a.asn), engines)
-            (out_dir / f"{a.name}.nf5").write_bytes(b"".join(packets))
-            total_packets += len(packets)
-        lines.append(
-            f"netflow: wrote {len(eco.ases)} .nf5 files "
-            f"({total_packets} packets) to {out_dir}"
-        )
-
+        lines.append(write_netflow(eco, args.emit_netflow))
     if args.selftest:
-        checked = verify_valley_free(eco)
-        lines.append(f"selftest: {checked} paths valley-free")
-        rebuilt = render_ecosystem(spec)
-        identical = (
-            eco.up_edges.tobytes() == rebuilt.up_edges.tobytes()
-            and eco.peer_edges.tobytes() == rebuilt.peer_edges.tobytes()
-            and eco.tables.path_len.tobytes()
-            == rebuilt.tables.path_len.tobytes()
-            and eco.tables.next_hop.tobytes()
-            == rebuilt.tables.next_hop.tobytes()
-        )
-        if not identical:
-            raise DataError("rebuild of the same spec diverged")
-        lines.append("selftest: rebuild byte-identical")
-        probes = [eco.ases_of_kind(STUB)[0], eco.ases_of_kind(TIER2)[0]]
-        wired = measured_flowset_for(eco, probes[0].asn, through_wire=True)
-        direct = measured_flowset_for(eco, probes[0].asn, through_wire=False)
-        if wired.demands.tobytes() != direct.demands.tobytes():
-            raise DataError("NetFlow v5 wire round-trip changed demands")
-        lines.append(
-            f"selftest: wire round-trip exact ({len(wired)} flows)"
-        )
-        mechanism = MechanismConfig.resolve(cli=args).build(n_tiers=args.tiers)
-        for probe in probes:
-            design = design_for_as(
-                eco, probe.asn, n_tiers=args.tiers, mechanism=mechanism
-            )
-            lines.append(
-                f"design {probe.name}: " + json.dumps(design, sort_keys=True)
-            )
-        lines.append(
-            "table1 "
-            + json.dumps(as_table1_row(eco, probes[0].asn), sort_keys=True)
-        )
+        from repro.ecosystem.selftest import selftest
+
+        mechanism = MechanismConfig.resolve(cli=args)
+        lines += selftest(eco, spec, mechanism, args.tiers)
     return "\n".join(lines)
 
 
 def cmd_mechanisms(args: argparse.Namespace) -> str:
-    import numpy as np
+    from repro.mechanisms.selftest import capture_table, selftest
 
-    from repro.core.ced import CEDDemand
-    from repro.core.cost import LinearDistanceCost
-    from repro.core.logit import LogitDemand
-    from repro.core.market import Market
-    from repro.mechanisms import (
-        MECHANISM_NAMES,
-        PostedTiers,
-        cleared_supply,
-        clearing_price,
+    lines, flows, markets, captures = capture_table(
+        args.dataset,
+        n_flows=args.flows,
+        seed=args.seed,
+        n_tiers=args.tiers,
+        config=MechanismConfig.resolve(cli=args),
     )
-    from repro.synth.datasets import load_dataset
-
-    mech_cfg = MechanismConfig.resolve(cli=args)
-    flows = load_dataset(args.dataset, n_flows=args.flows, seed=args.seed)
-    cost_model = LinearDistanceCost(theta=DEFAULT_CONFIG.theta)
-    families = [
-        ("ced a=1.1", CEDDemand(alpha=1.1)),
-        ("ced a=3.0", CEDDemand(alpha=3.0)),
-        (
-            "logit",
-            LogitDemand(alpha=DEFAULT_CONFIG.alpha, s0=DEFAULT_CONFIG.s0),
-        ),
-    ]
-    lines = [
-        f"dataset {args.dataset}: {len(flows)} flows, "
-        f"{flows.aggregate_gbps():.1f} Gbps (seed {args.seed}, "
-        f"blended ${DEFAULT_CONFIG.blended_rate:.0f}/Mbps, "
-        f"tier budget {args.tiers}, "
-        f"spot windows {mech_cfg.spot_windows})",
-        "",
-        f"{'demand family':<13} {'mechanism':<13} {'capture':>9} "
-        f"{'profit $/mo':>13} {'tiers':>6} {'posted':>7}",
-    ]
-    captures: dict = {}
-    markets: dict = {}
-    for label, demand in families:
-        market = Market(
-            flows, demand, cost_model, DEFAULT_CONFIG.blended_rate
-        )
-        markets[label] = market
-        for name in MECHANISM_NAMES:
-            mechanism = dataclasses.replace(mech_cfg, mechanism=name).build(
-                n_tiers=args.tiers
-            )
-            try:
-                design = mechanism.design_on(market)
-            except MechanismError as exc:
-                lines.append(
-                    f"{label:<13} {name:<13} {'n/a':>9} "
-                    f"{'—':>13} {'—':>6} {'—':>7}  ({exc})"
-                )
-                continue
-            captures[(label, name)] = design.profit_capture
-            lines.append(
-                f"{label:<13} {name:<13} {design.profit_capture:>9.4f} "
-                f"{design.profit:>13,.0f} {design.n_tiers:>6} "
-                f"{design.posted_tiers:>7}"
-            )
-    lines.append("")
-    lines.append(
-        "capture = (pi_mechanism - pi_blended) / (pi_max - pi_blended); "
-        "negative means the mechanism earns less than blended-rate "
-        "pricing (the paid-peering bypass threat can force near-cost "
-        "peering rates)."
-    )
-
     if args.selftest:
-        from repro.core.bundling import paper_strategies
-
-        if tuple(MECHANISMS) != tuple(MECHANISM_NAMES):
-            raise MechanismError(
-                "config MECHANISMS and mechanisms MECHANISM_NAMES diverged"
-            )
-        lines.append(f"selftest: registry in sync ({len(MECHANISMS)} mechanisms)")
-
-        # Posted-tiers byte-identity: the mechanism's design must carry
-        # exactly what the bundling path scores, strategy by strategy —
-        # same prices, same profit, same capture, bit for bit.
-        market = markets["ced a=1.1"]
-        for strategy in paper_strategies():
-            outcome = market.tiered_outcome(strategy, args.tiers)
-            design = PostedTiers(
-                strategy=strategy, n_tiers=args.tiers
-            ).design_on(market)
-            identical = (
-                design.profit == outcome.profit
-                and design.profit_capture == outcome.profit_capture
-                and design.consumer_surplus == outcome.consumer_surplus
-                and [t.price for t in design.tiers]
-                == [t.price for t in outcome.tiers]
-                and [t.n_flows for t in design.tiers]
-                == [t.n_flows for t in outcome.tiers]
-            )
-            if not identical:
-                raise MechanismError(
-                    f"posted-tiers diverged from the legacy path for "
-                    f"strategy {strategy.name!r}"
-                )
-        lines.append(
-            f"selftest: posted-tiers byte-identical to the legacy "
-            f"bundling path ({len(paper_strategies())} strategies)"
-        )
-
-        # Spot clearing invariants: the clearing price is strictly
-        # decreasing in supply, and clearing/cleared_supply are inverses.
-        elastic = markets["ced a=3.0"]
-        valuations = elastic.valuations
-        supply = float(np.sum(flows.demands))
-        prices = [
-            clearing_price(valuations, s, 3.0)
-            for s in (0.5 * supply, supply, 2.0 * supply)
-        ]
-        if not (prices[0] > prices[1] > prices[2]):
-            raise MechanismError(
-                "clearing price is not strictly decreasing in supply"
-            )
-        round_trip = cleared_supply(valuations, prices[1], 3.0)
-        if abs(round_trip - supply) > 1e-6 * supply:
-            raise MechanismError(
-                f"clearing price round-trip drifted: cleared "
-                f"{round_trip:.6f} vs supply {supply:.6f}"
-            )
-        lines.append(
-            "selftest: clearing price monotone in supply, round-trip exact"
-        )
-
-        # On the elastic family, per-window uniform-price clearing must
-        # beat one posted book (the paper's spot-vs-tiers comparison).
-        spot = captures.get(("ced a=3.0", "spot-auction"))
-        posted = captures.get(("ced a=3.0", "posted-tiers"))
-        if spot is None or posted is None or spot < posted:
-            raise MechanismError(
-                f"spot capture {spot} did not reach posted capture "
-                f"{posted} on the elastic family"
-            )
-        lines.append(
-            f"selftest: spot capture {spot:.4f} >= posted {posted:.4f} "
-            f"on ced a=3.0"
-        )
+        lines += selftest(flows, markets, captures, args.tiers)
     return "\n".join(lines)
 
 
 def cmd_report(args: argparse.Namespace) -> str:
-    from repro.experiments.report import generate_report
-
     text = generate_report(_config(args))
     if args.output != "-":
         import pathlib
@@ -1006,7 +592,6 @@ def cmd_offerings(args: argparse.Namespace) -> str:
 
 def cmd_drift(args: argparse.Namespace) -> str:
     from repro.accounting.drift import evaluate_drift
-    from repro.core.ced import CEDDemand
     from repro.core.cost import LinearDistanceCost
     from repro.io import load_design, load_flowset
 
@@ -1015,32 +600,15 @@ def cmd_drift(args: argparse.Namespace) -> str:
     report = evaluate_drift(
         design,
         flows,
-        CEDDemand(alpha=DEFAULT_CONFIG.alpha),
+        demand_model("ced"),
         LinearDistanceCost(theta=DEFAULT_CONFIG.theta),
         blended_rate=args.rate,
     )
-    verdict = "RE-TIER" if report.should_retier() else "keep current tiers"
-    return "\n".join(
-        [
-            f"design: {design.n_tiers} tiers over "
-            f"{len(design.tier_of_destination)} destinations",
-            f"new matrix: {len(flows)} flows, "
-            f"{report.unknown_destinations} unknown / "
-            f"{report.missing_destinations} churned destinations",
-            f"stale design:     profit ${report.stale_profit:,.0f} "
-            f"(capture {report.stale_capture:.3f})",
-            f"refreshed design: profit ${report.refreshed_profit:,.0f} "
-            f"(capture {report.refreshed_capture:.3f})",
-            f"monthly regret:   ${report.regret:,.0f}",
-            f"recommendation:   {verdict}",
-        ]
-    )
+    return report.render(design, flows)
 
 
 def cmd_workers(args: argparse.Namespace) -> str:
-    import multiprocessing
-
-    from repro.runtime.executor import worker_main
+    from repro.runtime.executor import spawn_workers, worker_main
 
     host, _, port_text = args.connect.rpartition(":")
     if not host or not port_text.isdigit():
@@ -1056,22 +624,13 @@ def cmd_workers(args: argparse.Namespace) -> str:
     if args.processes == 1:
         executed = worker_main(host, port, heartbeat_ms=heartbeat_ms)
         return f"worker exited after {executed} spec(s)"
-    context = multiprocessing.get_context(
-        "fork"
-        if "fork" in multiprocessing.get_all_start_methods()
-        else None
+    procs = spawn_workers(
+        host,
+        port,
+        args.processes,
+        heartbeat_ms=heartbeat_ms,
+        name="repro-workers",
     )
-    procs = [
-        context.Process(
-            target=worker_main,
-            args=(host, port),
-            kwargs={"heartbeat_ms": heartbeat_ms},
-            name=f"repro-workers-{i}",
-        )
-        for i in range(args.processes)
-    ]
-    for proc in procs:
-        proc.start()
     for proc in procs:
         proc.join()
     return f"{len(procs)} workers exited"

@@ -21,9 +21,9 @@ stored as ``int32`` *code* arrays with interned label tables:
 Code ``-1`` (:data:`NO_LABEL`) means "no label".  The legacy tuple
 accessors (``regions`` / ``classes`` / ``srcs`` / ``dsts``) decode the
 code columns lazily and are kept for compatibility, as are per-record
-:class:`Flow` objects (``FlowSet.from_flows``, indexing, iteration, and
-the deprecated :attr:`FlowSet.flows` property) — million-flow paths
-should stay on the code arrays and never materialize ``Flow`` records.
+:class:`Flow` objects (``FlowSet.from_flows``, indexing and
+iteration) — million-flow paths should stay on the code arrays and
+never materialize ``Flow`` records.
 """
 
 from __future__ import annotations

@@ -64,6 +64,7 @@ from repro.ecosystem.traffic import (
     as_table1_row,
     design_for_as,
     measured_flowset_for,
+    write_netflow,
 )
 
 __all__ = [
@@ -106,4 +107,5 @@ __all__ = [
     "transit_flows_for",
     "verify_path_valley_free",
     "verify_valley_free",
+    "write_netflow",
 ]

@@ -132,7 +132,7 @@ class Ecosystem:
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self.spec = None  # set by spec.build_ecosystem
+        self.spec = None  # set by spec.render_ecosystem
         self.ases: "tuple[AutonomousSystem, ...]" = ()
         self.ixps: tuple = ()
         #: (E, 2) int32 rows of (customer index, provider index).
@@ -386,10 +386,6 @@ class EcosystemBuilder:
             raise DataError(f"duplicate layer {layer.name!r}")
         self._layers.append(layer)
         return self
-
-    @property
-    def layer_names(self) -> "tuple[str, ...]":
-        return tuple(layer.name for layer in self._layers)
 
     def render(self) -> Ecosystem:
         """Apply the layers in order; dependencies are checked by name."""

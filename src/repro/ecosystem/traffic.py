@@ -285,6 +285,28 @@ def measured_flowset_for(
     return flows
 
 
+def write_netflow(eco: Ecosystem, directory) -> str:
+    """Write every AS's sampled NetFlow v5 packets to
+    ``directory/<as>.nf5``, making the directory if it is missing;
+    returns a one-line account of what was written."""
+    import pathlib
+
+    from repro.netflow.codec import encode_packets
+
+    out_dir = pathlib.Path(directory)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    engines = eco.engine_map()
+    total_packets = 0
+    for a in eco.ases:
+        packets = encode_packets(eco.netflow_records_for(a.asn), engines)
+        (out_dir / f"{a.name}.nf5").write_bytes(b"".join(packets))
+        total_packets += len(packets)
+    return (
+        f"netflow: wrote {len(eco.ases)} .nf5 files "
+        f"({total_packets} packets) to {out_dir}"
+    )
+
+
 def design_for_as(
     eco: Ecosystem,
     asn: int,

@@ -1,27 +1,9 @@
 """Experiment drivers: one function per paper table and figure.
 
-The mapping from paper artifacts to drivers (see DESIGN.md for details):
-
-========  =====================================================
-Artifact  Driver
-========  =====================================================
-Table 1   :func:`repro.experiments.tables.table1_data`
-Fig. 1    :func:`repro.experiments.figures.figure1_data`
-Fig. 2    :func:`repro.experiments.figures.figure2_data`
-Fig. 3    :func:`repro.experiments.figures.figure3_data`
-Fig. 4    :func:`repro.experiments.figures.figure4_data`
-Fig. 5    :func:`repro.experiments.figures.figure5_data`
-Fig. 6    :func:`repro.experiments.figures.figure6_data`
-Fig. 8    :func:`repro.experiments.figures.figure8_data`
-Fig. 9    :func:`repro.experiments.figures.figure9_data`
-Fig. 10   :func:`repro.experiments.sweeps.figure10_data`
-Fig. 11   :func:`repro.experiments.sweeps.figure11_data`
-Fig. 12   :func:`repro.experiments.sweeps.figure12_data`
-Fig. 13   :func:`repro.experiments.sweeps.figure13_data`
-Fig. 14   :func:`repro.experiments.sweeps.figure14_data`
-Fig. 15   :func:`repro.experiments.sweeps.figure15_data`
-Fig. 16   :func:`repro.experiments.sweeps.figure16_data`
-========  =====================================================
+:data:`repro.experiments.report.ARTIFACTS` maps each artifact to its
+driver (in :mod:`~repro.experiments.tables`,
+:mod:`~repro.experiments.figures` or :mod:`~repro.experiments.sweeps`)
+and renderer; DESIGN.md has the details.
 
 (Figures 7 and 17 are architecture diagrams, not data plots; the pipeline
 of Figure 7 is :mod:`repro.experiments.runner` itself and the accounting

@@ -156,6 +156,10 @@ class FrontDoor:
         self._queued: "list[int]" = []  # rows queued, by shard
         self._wakeups: "list[asyncio.Event]" = []
         self._dispatchers: "list[asyncio.Task]" = []
+        #: Connection handler -> its writer; ``_reading`` await a frame.
+        self._connections: "dict[asyncio.Task, asyncio.StreamWriter]" = {}
+        self._reading: "set[asyncio.Task]" = set()
+        self._stopping = False
         self.shed = 0
 
     # ------------------------------------------------------------------
@@ -163,6 +167,7 @@ class FrontDoor:
     # ------------------------------------------------------------------
 
     async def start(self) -> "FrontDoor":
+        self._stopping = False
         n = self.fleet.n_shards
         self._pool = ThreadPoolExecutor(
             max_workers=n, thread_name_prefix="fleet-dispatch"
@@ -183,13 +188,18 @@ class FrontDoor:
         return self
 
     async def stop(self) -> None:
-        """Close the listener, then stop the dispatchers: requests queued
-        or mid round trip resolve degraded (``"front door stopped"`` —
-        the fleet behind may already be stopping).  Open connections are
-        waited for last, so their pending replies still go out."""
+        """Close the listener and stop reading, then stop the dispatchers:
+        requests queued or mid round trip, or admitted later, resolve
+        degraded (``"front door stopped"`` — the fleet behind may already
+        be stopping).  Each connection then writes the replies to the
+        frames it read and is closed (aborted if it cannot flush within
+        ``timeout_ms``), never waiting for the client to hang up."""
         server, self._server = self._server, None
         if server is not None:
             server.close()
+        self._stopping = True
+        for handler in self._reading:
+            handler.cancel()
         for task in self._dispatchers:
             task.cancel()
         for task in self._dispatchers:
@@ -207,6 +217,12 @@ class FrontDoor:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        while self._connections:
+            _, late = await asyncio.wait(
+                list(self._connections), timeout=self.config.timeout_ms / 1000
+            )
+            for handler in late:
+                self._connections[handler].transport.abort()
         if server is not None:
             await server.wait_closed()
 
@@ -225,8 +241,12 @@ class FrontDoor:
     ) -> None:
         write_lock = asyncio.Lock()
         frame_tasks: "set[asyncio.Task]" = set()
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
+        handler.add_done_callback(self._connections.pop)
         try:
-            while True:
+            while not self._stopping:
+                self._reading.add(handler)
                 try:
                     frame = await read_frame(reader)
                 except (
@@ -238,6 +258,10 @@ class FrontDoor:
                 except DataError:
                     METRICS.incr("fleet.bad_frames")
                     break  # unframeable input: the stream is unrecoverable
+                except asyncio.CancelledError:
+                    break  # stop(): read no further, answer what was read
+                finally:
+                    self._reading.discard(handler)
                 # Serve each frame in its own task so a big batch doesn't
                 # head-of-line block later frames on the same connection.
                 task = asyncio.create_task(
@@ -338,6 +362,14 @@ class FrontDoor:
         piece.pending = len(piece.rows)
         self._queues[sid].append(piece)
         self._queued[sid] += piece.pending
+        if self._stopping:  # no dispatcher is left to answer it
+            self._answer(
+                self._take(sid, self._queued[sid]),
+                self.fleet.degraded_payload(
+                    self._queued[sid], "front door stopped"
+                ),
+            )
+            return
         excess = self._queued[sid] - self.config.queue_depth
         if excess > 0:
             self.shed += excess

@@ -36,7 +36,6 @@ import dataclasses
 import multiprocessing
 import os
 import threading
-import time
 import zlib
 from typing import Optional
 
@@ -259,6 +258,11 @@ class ShardFleet:
     def version(self) -> int:
         """Version of the segment currently in force (0 before any)."""
         return self._version
+
+    @property
+    def snapshot(self) -> "Optional[PricingSnapshot]":
+        """The snapshot in force, as versioned here (``None`` before any)."""
+        return self._snapshot
 
     def pids(self) -> "list[Optional[int]]":
         """Current worker pids, by shard index."""

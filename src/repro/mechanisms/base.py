@@ -182,6 +182,35 @@ class MechanismDesign:
         """Social welfare: ISP profit plus consumer surplus."""
         return self.profit + self.consumer_surplus
 
+    def render(self, heading: str) -> str:
+        """The design's tier card: its market, ``heading``, its profit
+        capture (and, unless posted tiers made it, its posted/spot mix),
+        then one row per tier."""
+        market = self.market
+        lines = [
+            market.describe(),
+            heading,
+            f"profit capture: {self.profit_capture:.1%} "
+            f"(blended ${market.blended_profit():,.0f} -> "
+            f"${self.profit:,.0f} -> ceiling ${market.max_profit():,.0f})",
+        ]
+        if self.mechanism != DEFAULT_MECHANISM:
+            lines.append(
+                f"tiers: {self.n_tiers} total "
+                f"({self.posted_tiers} posted, {self.spot_tiers} spot)"
+            )
+        lines += [
+            "",
+            f"{'tier':>4} {'price $/Mbps':>13} {'flows':>7} "
+            f"{'demand Mbps':>13} {'mean cost':>10}",
+        ]
+        for i, tier in enumerate(self.tiers, start=1):
+            lines.append(
+                f"{i:>4} {tier.price:>13.2f} {tier.n_flows:>7} "
+                f"{tier.demand_mbps:>13.1f} {tier.mean_cost:>10.2f}"
+            )
+        return "\n".join(lines)
+
 
 class Mechanism(abc.ABC):
     """A market design: turns a calibrated market into priced tiers.

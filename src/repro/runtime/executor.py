@@ -354,17 +354,14 @@ class SocketExecutor(Executor):
         # Fork local workers before starting any service thread — a fork
         # taken while coordinator threads run could clone held locks.
         # Their connects queue in the listener backlog until accept runs.
-        self._procs = []
-        for i in range(config.spawn_count()):
-            proc = _MP_CONTEXT.Process(
-                target=worker_main,
-                args=(self.host, self.port),
-                kwargs={"heartbeat_ms": config.heartbeat_ms},
-                name=f"repro-exec-worker-{i}",
-                daemon=True,
-            )
-            proc.start()
-            self._procs.append(proc)
+        self._procs = spawn_workers(
+            self.host,
+            self.port,
+            config.spawn_count(),
+            heartbeat_ms=config.heartbeat_ms,
+            name="repro-exec-worker",
+            daemon=True,
+        )
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-exec-accept", daemon=True
         )
@@ -790,6 +787,31 @@ def worker_main(
     return executed
 
 
+def spawn_workers(
+    host: str,
+    port: int,
+    count: int,
+    *,
+    heartbeat_ms: float,
+    name: str,
+    daemon: bool = False,
+) -> list:
+    """Start ``count`` :func:`worker_main` processes, named ``<name>-<i>``
+    and forked where possible, against the coordinator at ``host:port``."""
+    procs = []
+    for i in range(count):
+        proc = _MP_CONTEXT.Process(
+            target=worker_main,
+            args=(host, port),
+            kwargs={"heartbeat_ms": heartbeat_ms},
+            name=f"{name}-{i}",
+            daemon=daemon,
+        )
+        proc.start()
+        procs.append(proc)
+    return procs
+
+
 # ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
@@ -845,5 +867,6 @@ __all__ = [
     "get_executor",
     "spec_from_wire",
     "spec_to_wire",
+    "spawn_workers",
     "worker_main",
 ]

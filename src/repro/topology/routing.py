@@ -45,14 +45,6 @@ class ExitDecision:
     backbone_miles: float
     tier_price: float
 
-    @property
-    def backbone_cost(self) -> float:
-        """Filled in by the selector: carriage miles * unit mile cost."""
-        return self.backbone_miles
-
-    def monthly_transit_bill(self) -> float:
-        return self.tier_price * self.demand_mbps
-
 
 @dataclasses.dataclass(frozen=True)
 class PolicyOutcome:

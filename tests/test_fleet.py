@@ -8,6 +8,7 @@ import dataclasses
 import json
 import os
 import signal
+import socket
 import struct
 import threading
 import time
@@ -35,7 +36,7 @@ from repro.fleet import (
     segment_name,
     shard_of,
 )
-from repro.wire import MAX_FRAME_BYTES, encode_frame, read_frame
+from repro.wire import MAX_FRAME_BYTES, encode_frame, read_frame, recv_frame
 from repro.mechanisms import MECHANISM_NAMES, mechanism_by_name
 from repro.obs import METRICS
 from repro.serve import (
@@ -1383,6 +1384,46 @@ class TestFrontDoor:
             assert answer["unit_price"] == pytest.approx(P0)
         for answer in answers:
             assert answer["degraded"] == (answer in stopped)
+
+    def test_stop_writes_the_replies_of_frames_read(self, fleet, snapshot):
+        """A loop that ends as soon as ``stop()`` returns, as
+        ``asyncio.run`` does after ``async with FrontDoor``, still writes
+        the reply to a frame read before the stop, leaves no front-door
+        task pending, and closes a connection the client keeps open."""
+        n = 20_000
+        dst = snapshot.destinations[0]
+        body = encode_frame({"id": "big", "quotes": [{"dst": dst}] * n})
+        config = dataclasses.replace(fleet.config, queue_depth=n)
+        received = []
+
+        def client(port):
+            with socket.create_connection(("127.0.0.1", port)) as sock:
+                sock.settimeout(30.0)
+                sock.sendall(body)
+                received.append(recv_frame(sock))
+                received.append(sock.recv(1))  # b"" once the door closes
+
+        async def scenario():
+            door = await FrontDoor(fleet, config).start()
+            requests_before = METRICS.counter("fleet.requests")
+            reader = threading.Thread(target=client, args=(door.port,))
+            reader.start()
+            deadline = time.monotonic() + 30.0
+            while METRICS.counter("fleet.requests") < requests_before + n:
+                assert time.monotonic() < deadline, "frame never read"
+                await asyncio.sleep(0.005)
+            await asyncio.sleep(0.05)
+            await door.stop()
+            this = asyncio.current_task()
+            return reader, [t for t in asyncio.all_tasks() if t is not this]
+
+        reader, pending = asyncio.run(scenario())
+        reader.join(30.0)
+        assert pending == []
+        reply, eof = received
+        assert reply["id"] == "big" and len(reply["quotes"]) == n
+        assert all("unit_price" in answer for answer in reply["quotes"])
+        assert eof == b""
 
 
 def expected_row(obj):

@@ -8,7 +8,9 @@ interpreter imports the serving packages, streams seeded v5 packets
 through ``StreamingPipeline`` (posted tiers, then ``hybrid``) into a
 1-shard fleet and quotes through the front door, with every import of
 either module refused.  The shard forks from that interpreter, so a
-first-use import on its serving path fails its quotes too.
+first-use import on its serving path fails its quotes too.  The
+packages' self-tests (``repro.*.selftest``) load only when they run,
+so none of them is loaded either.
 """
 
 import json
@@ -41,8 +43,8 @@ import json
 
 import numpy as np
 
-import repro, repro.cli, repro.fleet, repro.mechanisms, repro.netflow
-import repro.serve, repro.stream
+import repro, repro.cli, repro.ecosystem, repro.fleet, repro.mechanisms
+import repro.netflow, repro.serve, repro.stream
 from repro.config import FleetConfig, StreamConfig
 from repro.core.ced import CEDDemand
 from repro.core.cost import LinearDistanceCost
@@ -101,6 +103,7 @@ with ShardFleet(
 print(json.dumps({
     "refused": refused,
     "loaded": sorted(m for m in sys.modules if m.partition(".")[0] in BANNED),
+    "selftests": sorted(m for m in sys.modules if m.endswith(".selftest")),
     "windows": windows,
     "answered": len(answers),
     "priced": sum(1 for a in answers if "unit_price" in a and not a["degraded"]),
@@ -126,6 +129,7 @@ def test_quote_chain_loads_neither_scipy_nor_networkx():
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["refused"] == [] and report["loaded"] == [], report
+    assert report["selftests"] == [], report
     assert report["windows"] == [6, 6], report
     assert report["answered"] == report["priced"] == 60, report
     assert report["version"] >= 2, report
